@@ -7,7 +7,7 @@ Exit codes: 0 success, 1 validation/check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 import time
@@ -20,8 +20,8 @@ from .datagen import load_triplet, read_manifest, write_dataset
 from .flowstats import mean_flow, render_flow, render_occlusion, variance_flow
 from .model import load_checkpoint
 from .ppm import read_ppm, write_ppm
-from .train import TrainConfig, evaluate, infer, train
-from .warp import WarpMode, forward_warp, load_acof, save_acof
+from .train import KEY_ALIASES, TrainConfig, evaluate, infer, mean_metrics, train
+from .warp import WarpMode, WarpParams, forward_warp, load_acof, save_acof
 
 GRADCHECK_THRESHOLDS = {"adacof": 1e-4, "losses": 1e-4, "network": 1e-3}
 
@@ -30,11 +30,18 @@ def _err(msg):
     print(msg, file=sys.stderr)
 
 
-def _default_threads():
+def _default_threads(parser):
+    """ADACOF_THREADS, else the core count; a bad value is a usage error."""
     env = os.environ.get("ADACOF_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        parser.error(f"ADACOF_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def cmd_gen_data(args):
@@ -102,43 +109,36 @@ def cmd_visualize(args):
     var, trace = variance_flow(params)
     write_ppm(f"{args.out_prefix}_meanflow.ppm", render_flow(flow))
     scale = max(float(np.percentile(trace, 99.0)), 1e-12)
-    write_ppm(f"{args.out_prefix}_varflow.ppm",
-              np.repeat(np.clip(trace / scale, 0.0, 1.0)[None], 3, axis=0))
+    write_ppm(f"{args.out_prefix}_varflow.ppm", np.clip(trace / scale, 0.0, 1.0))
     write_ppm(f"{args.out_prefix}_occlusion.ppm", render_occlusion(occ))
     return 0
 
 
-def _eval_checkpoint(model, wmode, occ_on, data_dir):
-    names = read_manifest(data_dir)
-    triplets = [load_triplet(os.path.join(data_dir, n)) for n in names]
-    return evaluate(model, triplets, wmode, occ_on)
+def _train_variants(config_path, column, variants):
+    """Train one config variant per (label, out_dir, overrides) and print
+    a `column,val_psnr,val_ssim` row for each."""
+    config = TrainConfig.from_json(config_path)
+    print(f"{column},val_psnr,val_ssim")
+    for label, out_dir, overrides in variants:
+        _, history = train(dataclasses.replace(config, **overrides), out_dir,
+                           log=_err)
+        last = history[-1]
+        print(f"{label},{last['val_psnr']:.6g},{last['val_ssim']:.6g}")
+    return 0
 
 
 def cmd_ablate(args):
-    config = TrainConfig.from_json(args.config)
-    modes = args.modes.split(",")
-    print("mode,val_psnr,val_ssim")
-    for mode in modes:
-        cfg = TrainConfig(**{**config.__dict__, "warp_mode": mode})
-        out_dir = os.path.join(args.out, mode)
-        _, history = train(cfg, out_dir, log=_err)
-        last = history[-1]
-        print(f"{mode},{last['val_psnr']:.6g},{last['val_ssim']:.6g}")
-    return 0
+    return _train_variants(args.config, "mode", [
+        (mode, os.path.join(args.out, mode), {"warp_mode": mode})
+        for mode in args.modes.split(",")])
 
 
 def cmd_sweep(args):
-    config = TrainConfig.from_json(args.config)
     key, _, values = args.param.partition("=")
-    key = {"F": "kernel_size", "d": "dilation"}.get(key, key)
-    print(f"{key},val_psnr,val_ssim")
-    for value in values.split(","):
-        cfg = TrainConfig(**{**config.__dict__, key: int(value)})
-        out_dir = os.path.join(args.out, f"{key}{value}")
-        _, history = train(cfg, out_dir, log=_err)
-        last = history[-1]
-        print(f"{value},{last['val_psnr']:.6g},{last['val_ssim']:.6g}")
-    return 0
+    key = KEY_ALIASES.get(key, key)
+    return _train_variants(args.config, key, [
+        (value, os.path.join(args.out, f"{key}{value}"), {key: int(value)})
+        for value in values.split(",")])
 
 
 def cmd_bench(args):
@@ -163,7 +163,6 @@ def _bench_instance(rng, h, w, f, d):
     f2 = f * f
     logits = rng.normal(size=(f2, h, w))
     e = np.exp(logits - logits.max(axis=0))
-    from .warp import WarpParams
     params = WarpParams(e / e.sum(axis=0),
                         rng.uniform(-2, 2, size=(f2, h, w)),
                         rng.uniform(-2, 2, size=(f2, h, w)),
@@ -174,26 +173,18 @@ def _bench_instance(rng, h, w, f, d):
 def cmd_eval(args):
     model, wmode, occ_on = _load_model(args.ckpt)
     names = read_manifest(args.data)
+    rows = evaluate(model, (load_triplet(os.path.join(args.data, n)) for n in names),
+                    wmode, occ_on)
     print("name,psnr_db,ssim,ie")
-    psnrs, ssims, ies = [], [], []
-    for name in names:
-        t = load_triplet(os.path.join(args.data, name))
-        blended, _, _, _ = infer(model, t.first.pixels, t.last.pixels,
-                                 wmode, occ_on)
-        p = metrics.psnr(blended, t.middle.pixels)
-        s = metrics.ssim(blended, t.middle.pixels)
-        ie = metrics.interpolation_error(blended, t.middle.pixels)
-        print(metrics.metrics_row(name, p, s, ie))
-        psnrs.append(min(p, 100.0))
-        ssims.append(s)
-        ies.append(ie)
-    print(metrics.metrics_row("mean", float(np.mean(psnrs)),
-                              float(np.mean(ssims)), float(np.mean(ies))))
+    for name, row in zip(names, rows):
+        print(metrics.metrics_row(name, *row))
+    print(metrics.metrics_row("mean", *mean_metrics(rows)))
     return 0
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="adacof")
+    threads = _default_threads(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic triplet dataset")
@@ -215,14 +206,14 @@ def build_parser():
     p.add_argument("--frame1", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-params")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=threads)
     p.set_defaults(func=cmd_interp)
 
     p = sub.add_parser("warp", help="apply a raw parameter dump to an image")
     p.add_argument("--params", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=threads)
     p.set_defaults(func=cmd_warp)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification")
@@ -252,7 +243,7 @@ def build_parser():
     p.add_argument("--size", default="256x256")
     p.add_argument("--F", type=int, default=5)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--threads", default=str(_default_threads()))
+    p.add_argument("--threads", default=str(threads))
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class InvalidOffsetError(ValueError):
-    """A sampling coordinate was NaN or infinite."""
-
-
 def check_finite(arr, what="array"):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
@@ -108,39 +104,3 @@ def sample_grid_with_grad(image, ys, xs):
     dv_dy = ((1.0 - fx) * (i10 - i00) + fx * (i11 - i01)) * in_y
     dv_dx = ((1.0 - fy) * (i01 - i00) + fy * (i11 - i10)) * in_x
     return vals, dv_dy, dv_dx
-
-
-def bilinear_sample(channel, y, x):
-    """Sample one (H, W) channel at a single real-valued coordinate."""
-    if not (np.isfinite(y) and np.isfinite(x)):
-        raise InvalidOffsetError(f"non-finite sampling coordinate ({y}, {x})")
-    channel = np.asarray(channel, dtype=np.float64)
-    return float(sample_grid(channel[None], np.asarray(y, dtype=np.float64),
-                             np.asarray(x, dtype=np.float64))[0])
-
-
-def bilinear_sample_grad(channel, y, x, upstream=1.0):
-    """Derivatives of bilinear_sample w.r.t. the coordinate and the corners.
-
-    Returns (grad_y, grad_x, corners) where corners is a list of four
-    ((row, col), contribution) scatter entries whose contributions sum to
-    `upstream` exactly.
-    """
-    if not (np.isfinite(y) and np.isfinite(x)):
-        raise InvalidOffsetError(f"non-finite sampling coordinate ({y}, {x})")
-    channel = np.asarray(channel, dtype=np.float64)
-    h, w = channel.shape
-    y0, x0, y1, x1, fy, fx = _corner_setup(h, w, np.float64(y), np.float64(x))
-    i00, i01 = channel[y0, x0], channel[y0, x1]
-    i10, i11 = channel[y1, x0], channel[y1, x1]
-    in_y = 0.0 <= y <= h - 1.0
-    in_x = 0.0 <= x <= w - 1.0
-    gy = ((1.0 - fx) * (i10 - i00) + fx * (i11 - i01)) * upstream if in_y else 0.0
-    gx = ((1.0 - fy) * (i01 - i00) + fy * (i11 - i10)) * upstream if in_x else 0.0
-    corners = [
-        ((int(y0), int(x0)), (1.0 - fy) * (1.0 - fx) * upstream),
-        ((int(y0), int(x1)), (1.0 - fy) * fx * upstream),
-        ((int(y1), int(x0)), fy * (1.0 - fx) * upstream),
-        ((int(y1), int(x1)), fy * fx * upstream),
-    ]
-    return float(gy), float(gx), corners

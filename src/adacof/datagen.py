@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Frame, sample_grid
 from .ppm import read_ppm, write_ppm
-from .warp import WarpParams, load_acof, save_acof
+from .warp import WarpMode, load_acof, make_mode_params, save_acof
 
 KINDS = ("global_translation", "rotation", "occluder")
 
@@ -225,12 +225,8 @@ def save_triplet(dirpath, triplet):
     for i, frame in enumerate((triplet.first, triplet.middle, triplet.last)):
         write_ppm(os.path.join(dirpath, f"frame{i}.ppm"), frame)
     if triplet.flow is not None:
-        h, w = triplet.flow.shape[1:]
-        params = WarpParams(np.ones((1, h, w)), triplet.flow[0:1],
-                            triplet.flow[1:2], kernel_size=1, dilation=0)
-        occ = triplet.occlusion if triplet.occlusion is not None \
-            else np.full((h, w), 0.5)
-        save_acof(os.path.join(dirpath, "truth.acof"), params, occ)
+        params = make_mode_params(WarpMode.FLOW_ONLY, flow=triplet.flow)
+        save_acof(os.path.join(dirpath, "truth.acof"), params, triplet.occlusion)
 
 
 def load_triplet(dirpath):
@@ -260,5 +256,9 @@ def write_dataset(out_dir, count, size, max_disp, seed):
 
 
 def read_manifest(data_dir):
-    with open(os.path.join(data_dir, "index.txt")) as f:
-        return [line.strip() for line in f if line.strip()]
+    path = os.path.join(data_dir, "index.txt")
+    with open(path) as f:
+        names = [line.strip() for line in f if line.strip()]
+    if not names:
+        raise ValueError(f"{path}: lists no triplets")
+    return names

@@ -11,9 +11,9 @@ import numpy as np
 
 from .losses import (Discriminator, GradientBankExtractor, charbonnier_l1,
                      discriminator_loss, generator_entropy_loss, perceptual_loss)
-from .model import ModelConfig, SynthModel
-from .warp import (WarpParams, backward_warp_vjp, forward_warp, occlusion_blend,
-                   occlusion_blend_vjp)
+from .model import ModelConfig, SynthModel, synthesize, synthesize_vjp
+from .warp import (WarpMode, WarpParams, _sample_coords, backward_warp_vjp,
+                   forward_warp, occlusion_blend, occlusion_blend_vjp)
 
 FD_STEP = 1e-3
 
@@ -110,39 +110,20 @@ def check_network(seed=0, size=8):
         last = rng.random((3, size, size))
         gt = rng.random((3, size, size))
         x = np.concatenate([first, last])[None]
-        out_probe, _ = model.forward(x)
-        pf_p, pb_p, _ = out_probe.sample_params(0, cfg.kernel_size, cfg.dilation)
-        from .warp import _sample_coords
-        dist = 1.0
-        for p in (pf_p, pb_p):
-            for coords in _sample_coords(p):
-                dist = min(dist, np.abs(coords - np.round(coords)).min())
+        frames, tape = synthesize(model, x, WarpMode.ADACOF, True)
+        dist = min(np.abs(coords - np.round(coords)).min()
+                   for p in tape.params[0] for coords in _sample_coords(p))
         if dist > 2e-3:
             break
     else:
         raise RuntimeError("could not find a kink-free network instance")
 
     def loss_from(params):
-        m = SynthModel(cfg, params)
-        out, _ = m.forward(x)
-        pf, pb, v = out.sample_params(0, cfg.kernel_size, cfg.dilation)
-        blended = occlusion_blend(forward_warp(first, pf),
-                                  forward_warp(last, pb), v)
-        return charbonnier_l1(blended, gt)[0]
+        blended, _ = synthesize(SynthModel(cfg, params), x, WarpMode.ADACOF, True)
+        return charbonnier_l1(blended[0], gt)[0]
 
-    out, tape = model.forward(x)
-    pf, pb, v = out.sample_params(0, cfg.kernel_size, cfg.dilation)
-    warped_f = forward_warp(first, pf)
-    warped_b = forward_warp(last, pb)
-    blended = occlusion_blend(warped_f, warped_b, v)
-    _, g_out = charbonnier_l1(blended, gt)
-    gf, gb_, gv = occlusion_blend_vjp(warped_f, warped_b, v, g_out)
-    _, gw_f, ga_f, gbt_f = backward_warp_vjp(first, pf, gf)
-    _, gw_b, ga_b, gbt_b = backward_warp_vjp(last, pb, gb_)
-    grads = model.backward(tape, {
-        "weight_f": gw_f[None], "alpha_f": ga_f[None], "beta_f": gbt_f[None],
-        "weight_b": gw_b[None], "alpha_b": ga_b[None], "beta_b": gbt_b[None],
-        "occ": gv[None]})
+    _, g_out = charbonnier_l1(frames[0], gt)
+    grads = model.backward(tape.net, synthesize_vjp(tape, g_out[None]))
 
     worst = 0.0
     for name in sorted(model.params):
@@ -175,17 +156,11 @@ def check_losses(seed=0):
         g_out, fd_gradient(lambda z: perceptual_loss(z, gt, extractor)[0],
                            out.copy(), h=1e-5)))
 
-    c1, c2 = rng.uniform(0.1, 0.9, size=2)
-    _, d1, d2 = discriminator_loss(c1, c2)
-    fd1 = (discriminator_loss(c1 + 1e-6, c2)[0] - discriminator_loss(c1 - 1e-6, c2)[0]) / 2e-6
-    fd2 = (discriminator_loss(c1, c2 + 1e-6)[0] - discriminator_loss(c1, c2 - 1e-6)[0]) / 2e-6
-    worst = max(worst, block_rel_err(np.array([d1, d2]), np.array([fd1, fd2])))
-    _, e1, e2 = generator_entropy_loss(c1, c2)
-    fe1 = (generator_entropy_loss(c1 + 1e-6, c2)[0]
-           - generator_entropy_loss(c1 - 1e-6, c2)[0]) / 2e-6
-    fe2 = (generator_entropy_loss(c1, c2 + 1e-6)[0]
-           - generator_entropy_loss(c1, c2 - 1e-6)[0]) / 2e-6
-    worst = max(worst, block_rel_err(np.array([e1, e2]), np.array([fe1, fe2])))
+    c = rng.uniform(0.1, 0.9, size=2)
+    for loss_fn in (discriminator_loss, generator_entropy_loss):
+        _, d1, d2 = loss_fn(*c)
+        numeric = fd_gradient(lambda z: loss_fn(*z)[0], c.copy(), h=1e-6)
+        worst = max(worst, block_rel_err(np.array([d1, d2]), numeric))
 
     disc = Discriminator(seed=seed)
     x = rng.random((6, 8, 8))

@@ -1,5 +1,5 @@
 """Training objectives: smooth L1, feature-space distance, and the
-dual-frame adversarial pair, plus their combination modes.
+dual-frame adversarial pair.
 
 The feature extractor for the perceptual term is pluggable; the default is
 a fixed 8-orientation gradient filter bank (no pretrained weights), which
@@ -49,14 +49,6 @@ def charbonnier_l1(a, b, epsilon=0.001):
     loss = float(phi.mean())
     grad_a = diff / phi / a.size
     return loss, grad_a
-
-
-class IdentityExtractor:
-    """Pass-through feature extractor (features are the pixels)."""
-
-    def __call__(self, image):
-        image = np.asarray(image, dtype=np.float64)
-        return image, lambda g: g
 
 
 class GradientBankExtractor:
@@ -121,35 +113,16 @@ def discriminator_loss(c_real_first, c_fake_first):
     return loss, -1.0 / c1, 1.0 / (1.0 - c2)
 
 
-def generator_entropy_loss(c1, c2, full_entropy=False):
+def generator_entropy_loss(c1, c2):
     """Adversarial generator objective on the two classifier outputs.
 
-    The literal form is c1*ln(c1) + c2*ln(c2). With full_entropy the loss
-    is the negative binary entropy of both outputs (minimized at c = 0.5).
+    The literal form is c1*ln(c1) + c2*ln(c2).
     Returns (loss, dloss_dc1, dloss_dc2).
     """
     c1 = clamp_prob(c1)
     c2 = clamp_prob(c2)
-    if full_entropy:
-        loss = sum(c * math.log(c) + (1 - c) * math.log(1 - c) for c in (c1, c2))
-        return loss, math.log(c1 / (1 - c1)), math.log(c2 / (1 - c2))
     loss = c1 * math.log(c1) + c2 * math.log(c2)
     return loss, math.log(c1) + 1.0, math.log(c2) + 1.0
-
-
-def combined_loss(config, l1, vgg=None, adv=None):
-    """Combine loss terms per the configured mode.
-
-    Returns (loss, weights) where weights holds the linear coefficient of
-    each component (gradients superpose with these factors).
-    """
-    if config.mode == "distortion":
-        return l1, {"l1": 1.0, "vgg": 0.0, "adv": 0.0}
-    if vgg is None or adv is None:
-        raise ValueError("perception mode needs vgg and adv components")
-    loss = config.lambda_1 * l1 + config.lambda_vgg * vgg + config.lambda_adv * adv
-    return loss, {"l1": config.lambda_1, "vgg": config.lambda_vgg,
-                  "adv": config.lambda_adv}
 
 
 class Discriminator:

@@ -16,9 +16,11 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn
-from .warp import WarpParams
+from .warp import (WarpParams, backward_warp_vjp, forward_warp, occlusion_blend,
+                   occlusion_blend_vjp, project_mode)
 
 CKPT_MAGIC = b"ACKP"
 CKPT_VERSION = 1
@@ -74,7 +76,6 @@ MOTION_FEATURES = 5
 
 def _box5(img):
     """5x5 box sum of a (B, H, W) map with replicate padding."""
-    from numpy.lib.stride_tricks import sliding_window_view
     padded = np.pad(img, ((0, 0), (2, 2), (2, 2)), mode="edge")
     return sliding_window_view(padded, (5, 5), axis=(1, 2)).sum(axis=(3, 4))
 
@@ -121,13 +122,68 @@ class ModelOutputs:
     beta_b: np.ndarray
     occ: np.ndarray       # (B, H, W), sigmoid output
 
-    def sample_params(self, i, kernel_size, dilation):
-        """WarpParams pair plus occlusion map for batch element i."""
-        pf = WarpParams(self.weight_f[i], self.alpha_f[i], self.beta_f[i],
-                        kernel_size=kernel_size, dilation=dilation)
-        pb = WarpParams(self.weight_b[i], self.alpha_b[i], self.beta_b[i],
-                        kernel_size=kernel_size, dilation=dilation)
-        return pf, pb, self.occ[i]
+
+@dataclass
+class SynthTape:
+    """What synthesize_vjp replays: one entry per frame pair of the batch."""
+
+    net: dict             # SynthModel.forward tape, None if not kept
+    x: np.ndarray         # (B, 6, H, W) network input, first frames then last
+    params: list          # (forward, backward) WarpParams after project_mode
+    warped: list          # (forward, backward) warped frames, each (3, H, W)
+    occ: np.ndarray       # (B, H, W) visibility maps
+    mode_vjps: tuple      # project_mode VJPs, forward then backward direction
+    occlusion_enabled: bool
+
+
+def synthesize(model, x, wmode, occlusion_enabled, threads=1, *,
+               keep_net_tape=True):
+    """Interpolate the middle frame of each pair in a (B, 6, H, W) batch.
+
+    Runs the network, projects both directions' raw parameter maps onto
+    the warp mode once for the whole batch, warps each pair's first frame
+    by its forward parameters and its last frame by its backward ones, and
+    blends the two with the pair's visibility map. Returns the (B, 3, H, W)
+    frames and the SynthTape that synthesize_vjp replays. Inference passes
+    keep_net_tape=False to free the network tape (about 0.5 GB of im2col
+    buffers at 256x256) before the warps; SynthModel.backward needs it.
+    """
+    cfg = model.config
+    out, net_tape = model.forward(x)
+    if not keep_net_tape:
+        net_tape = None
+    (wf, af, bf), vjp_f = project_mode(wmode, out.weight_f, out.alpha_f, out.beta_f)
+    (wb, ab, bb), vjp_b = project_mode(wmode, out.weight_b, out.alpha_b, out.beta_b)
+    params, warped, frames = [], [], []
+    for i in range(len(x)):
+        pf = WarpParams(wf[i], af[i], bf[i], cfg.kernel_size, cfg.dilation)
+        pb = WarpParams(wb[i], ab[i], bb[i], cfg.kernel_size, cfg.dilation)
+        fwd = forward_warp(x[i, :3], pf, threads=threads)
+        bwd = forward_warp(x[i, 3:], pb, threads=threads)
+        frames.append(occlusion_blend(fwd, bwd, out.occ[i], enabled=occlusion_enabled))
+        params.append((pf, pb))
+        warped.append((fwd, bwd))
+    tape = SynthTape(net_tape, x, params, warped, out.occ, (vjp_f, vjp_b),
+                     occlusion_enabled)
+    return np.stack(frames), tape
+
+
+def synthesize_vjp(tape, upstream):
+    """VJP of synthesize from (B, 3, H, W) frame gradients to the heads.
+
+    Returns the gradients on the constrained head outputs, keyed by head
+    name, in the form SynthModel.backward takes.
+    """
+    per_pair = []
+    for i, ((pf, pb), (fwd, bwd)) in enumerate(zip(tape.params, tape.warped)):
+        gf, gb, gv = occlusion_blend_vjp(fwd, bwd, tape.occ[i], upstream[i],
+                                         enabled=tape.occlusion_enabled)
+        _, gw_f, ga_f, gbt_f = backward_warp_vjp(tape.x[i, :3], pf, gf)
+        _, gw_b, ga_b, gbt_b = backward_warp_vjp(tape.x[i, 3:], pb, gb)
+        per_pair.append((gw_f, ga_f, gbt_f, gw_b, ga_b, gbt_b, gv))
+    g = [np.stack(per_head) for per_head in zip(*per_pair)]
+    vjp_f, vjp_b = tape.mode_vjps
+    return dict(zip(HEAD_NAMES, (*vjp_f(*g[:3]), *vjp_b(*g[3:6]), g[6])))
 
 
 class SynthModel:
@@ -181,28 +237,22 @@ class SynthModel:
                 bw_act = None
             head_out[name] = y
             tape["heads"][name] = (bw_conv, bw_act)
-        out = ModelOutputs(
-            weight_f=head_out["weight_f"], alpha_f=head_out["alpha_f"],
-            beta_f=head_out["beta_f"], weight_b=head_out["weight_b"],
-            alpha_b=head_out["alpha_b"], beta_b=head_out["beta_b"],
-            occ=head_out["occ"][:, 0],
-        )
-        return out, tape
+        head_out["occ"] = head_out["occ"][:, 0]
+        return ModelOutputs(**head_out), tape
 
     def backward(self, tape, out_grads):
         """VJP through the whole network.
 
-        out_grads maps head names to upstream gradients on the constrained
-        outputs (occ gradient shaped (B, H, W)). Returns a dict of
-        parameter gradients congruent with self.params.
+        out_grads maps every head name to the upstream gradient on its
+        constrained output (occ gradient shaped (B, H, W)), as
+        synthesize_vjp returns them. Returns a dict of parameter gradients
+        congruent with self.params.
         """
         cfg = self.config
         grads = {name: np.zeros_like(arr) for name, arr in self.params.items()}
         gh = None
         for name in HEAD_NAMES:
-            g = out_grads.get(name)
-            if g is None:
-                continue
+            g = out_grads[name]
             bw_conv, bw_act = tape["heads"][name]
             if name == "occ":
                 g = g[:, None]
@@ -212,8 +262,6 @@ class SynthModel:
             grads[f"head.{name}.w"] += gk
             grads[f"head.{name}.b"] += gb
             gh = gx if gh is None else gh + gx
-        if gh is None:
-            raise ValueError("no upstream gradients given")
         skip_grads = [None] * cfg.depth
         for stage, i in zip(reversed(tape["dec"]), range(cfg.depth)):
             bw_up, bw_cat, bw_conv, bw_relu = stage

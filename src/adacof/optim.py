@@ -43,7 +43,6 @@ def adamax_step(state, params, grads):
         m += (1.0 - state.beta1) * g
         np.maximum(state.beta2 * u, np.abs(g), out=u)
         params[name] = params[name] - scale * m / np.maximum(u, U_FLOOR)
-    return params, state
 
 
 @dataclass

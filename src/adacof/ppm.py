@@ -1,4 +1,4 @@
-"""Binary PPM (P6) and PGM (P5) readers/writers, maxval 255.
+"""Binary PPM (P6) reader and writer, maxval 255.
 
 Values map linearly between [0, 1] and [0, 255] with round-half-up, so any
 value already on the 1/255 grid round-trips bit-exactly.
@@ -16,12 +16,12 @@ def _quantize(values):
     return np.floor(np.clip(values, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
 
 
-def _read_header(data, magic):
-    if not data.startswith(magic):
-        raise ValueError(f"not a {magic.decode()} file")
+def _read_header(data):
+    if not data.startswith(b"P6"):
+        raise ValueError("not a P6 file")
     # header tokens: magic, width, height, maxval; '#' comments allowed
     tokens = []
-    pos = len(magic)
+    pos = 2
     while len(tokens) < 3:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
@@ -56,26 +56,11 @@ def write_ppm(path, frame):
 def read_ppm(path):
     with open(path, "rb") as f:
         data = f.read()
-    width, height, pos = _read_header(data, b"P6")
-    raw = np.frombuffer(data, dtype=np.uint8, count=width * height * 3, offset=pos)
+    width, height, pos = _read_header(data)
+    size = width * height * 3
+    if len(data) - pos < size:
+        raise ValueError(f"{path}: header declares {width}x{height} pixels "
+                         f"({size} bytes) but only {len(data) - pos} bytes follow it")
+    raw = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
     px = raw.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
     return Frame(px)
-
-
-def write_pgm(path, values):
-    """Write a single-channel map (H, W) in [0, 1] as binary P5."""
-    values = np.asarray(values)
-    if values.ndim == 3 and values.shape[0] == 1:
-        values = values[0]
-    h, w = values.shape
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write(_quantize(values).tobytes())
-
-
-def read_pgm(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    width, height, pos = _read_header(data, b"P5")
-    raw = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    return raw.reshape(height, width).astype(np.float64) / 255.0

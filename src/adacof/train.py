@@ -15,10 +15,15 @@ from .datagen import augment, load_triplet, read_manifest
 from .losses import (Discriminator, GradientBankExtractor, LossConfig,
                      charbonnier_l1, discriminator_loss, generator_entropy_loss,
                      perceptual_loss)
-from .model import ModelConfig, SynthModel, save_checkpoint
+from .model import (ModelConfig, SynthModel, save_checkpoint, synthesize,
+                    synthesize_vjp)
 from .optim import AdaMaxState, Schedule, adamax_step
-from .warp import (WarpMode, backward_warp_vjp, forward_warp, occlusion_blend,
-                   occlusion_blend_vjp, project_mode)
+# forward_warp is not called here; perfbench/test_perfbench.py uses this
+# module's `from .warp import` binding of it to test the tracer
+from .warp import WarpMode, forward_warp  # noqa: F401
+
+# short names accepted for TrainConfig fields, as in the paper's notation
+KEY_ALIASES = {"F": "kernel_size", "d": "dilation"}
 
 
 @dataclass
@@ -47,8 +52,7 @@ class TrainConfig:
     def from_json(cls, path):
         with open(path) as f:
             raw = json.load(f)
-        key_map = {"F": "kernel_size", "d": "dilation"}
-        kwargs = {key_map.get(k, k): v for k, v in raw.items()}
+        kwargs = {KEY_ALIASES.get(k, k): v for k, v in raw.items()}
         if "widths" in kwargs:
             kwargs["widths"] = tuple(kwargs["widths"])
         return cls(**kwargs)
@@ -70,58 +74,32 @@ class TrainConfig:
 def infer(model, first, last, warp_mode=WarpMode.ADACOF, occlusion_enabled=True,
           threads=1):
     """Full interpolation pass; returns (output, params_fwd, params_bwd, v)."""
-    cfg = model.config
     x = np.concatenate([np.asarray(first, dtype=np.float64),
                         np.asarray(last, dtype=np.float64)])[None]
-    out, _ = model.forward(x)
-    (wf, af, bf), _ = project_mode(warp_mode, out.weight_f[0], out.alpha_f[0],
-                                   out.beta_f[0])
-    (wb, ab, bb), _ = project_mode(warp_mode, out.weight_b[0], out.alpha_b[0],
-                                   out.beta_b[0])
-    from .warp import WarpParams
-    pf = WarpParams(wf, af, bf, cfg.kernel_size, cfg.dilation)
-    pb = WarpParams(wb, ab, bb, cfg.kernel_size, cfg.dilation)
-    v = out.occ[0]
-    warped_f = forward_warp(x[0, :3], pf, threads=threads)
-    warped_b = forward_warp(x[0, 3:], pb, threads=threads)
-    blended = occlusion_blend(warped_f, warped_b, v, enabled=occlusion_enabled)
-    return blended, pf, pb, v
+    frames, tape = synthesize(model, x, warp_mode, occlusion_enabled, threads,
+                              keep_net_tape=False)
+    pf, pb = tape.params[0]
+    return frames[0], pf, pb, tape.occ[0]
 
 
-def _batch_losses_and_grads(model, out, tape, batch, wmode, occlusion_enabled,
-                            loss_cfg, extractor=None, disc=None):
-    """Loss and parameter gradients for one forward-pass batch.
+def _batch_losses_and_grads(model, batch, wmode, occlusion_enabled, loss_cfg,
+                            extractor=None, disc=None):
+    """Loss and parameter gradients for one batch of triplets.
 
-    Returns (mean loss, model grads, per-sample outputs) where outputs are
-    the blended frames (used by the adversarial phase).
+    Returns (mean loss, model grads, blended frames) where the frames are
+    used by the adversarial phase.
     """
-    cfg = model.config
-    b = len(batch)
-    head_grads = {name: np.zeros_like(getattr(out, name))
-                  for name in ("weight_f", "alpha_f", "beta_f",
-                               "weight_b", "alpha_b", "beta_b", "occ")}
+    x = np.stack([np.concatenate([t.first.pixels, t.last.pixels]) for t in batch])
+    frames, tape = synthesize(model, x, wmode, occlusion_enabled)
+    g_frames = np.empty_like(frames)
     total = 0.0
-    blended_frames = []
-    from .warp import WarpParams
-    perception = loss_cfg.mode == "perception"
     for i, triplet in enumerate(batch):
         first = triplet.first.pixels
         last = triplet.last.pixels
         gt = triplet.middle.pixels
-        (wf, af, bf), vjp_f = project_mode(wmode, out.weight_f[i],
-                                           out.alpha_f[i], out.beta_f[i])
-        (wb, ab, bb), vjp_b = project_mode(wmode, out.weight_b[i],
-                                           out.alpha_b[i], out.beta_b[i])
-        pf = WarpParams(wf, af, bf, cfg.kernel_size, cfg.dilation)
-        pb = WarpParams(wb, ab, bb, cfg.kernel_size, cfg.dilation)
-        v = out.occ[i]
-        warped_f = forward_warp(first, pf)
-        warped_b = forward_warp(last, pb)
-        blended = occlusion_blend(warped_f, warped_b, v, enabled=occlusion_enabled)
-        blended_frames.append(blended)
-
+        blended = frames[i]
         l1, g_l1 = charbonnier_l1(blended, gt, loss_cfg.epsilon)
-        if perception:
+        if loss_cfg.mode == "perception":
             vgg, g_vgg = perceptual_loss(blended, gt, extractor)
             c1, tape1 = disc.forward(np.concatenate([first, blended]))
             c2, tape2 = disc.forward(np.concatenate([blended, last]))
@@ -131,60 +109,50 @@ def _batch_losses_and_grads(model, out, tape, batch, wmode, occlusion_enabled,
             g_adv = g_in1[3:] + g_in2[:3]
             loss = (loss_cfg.lambda_1 * l1 + loss_cfg.lambda_vgg * vgg
                     + loss_cfg.lambda_adv * adv)
-            g_out = (loss_cfg.lambda_1 * g_l1 + loss_cfg.lambda_vgg * g_vgg
-                     + loss_cfg.lambda_adv * g_adv)
+            g_frames[i] = (loss_cfg.lambda_1 * g_l1 + loss_cfg.lambda_vgg * g_vgg
+                           + loss_cfg.lambda_adv * g_adv)
         else:
-            loss, g_out = l1, g_l1
+            loss, g_frames[i] = l1, g_l1
         total += loss
-
-        gf, gb_, gv = occlusion_blend_vjp(warped_f, warped_b, v, g_out,
-                                          enabled=occlusion_enabled)
-        _, gw_f, ga_f, gbt_f = backward_warp_vjp(first, pf, gf)
-        _, gw_b, ga_b, gbt_b = backward_warp_vjp(last, pb, gb_)
-        gw_f, ga_f, gbt_f = vjp_f(gw_f, ga_f, gbt_f)
-        gw_b, ga_b, gbt_b = vjp_b(gw_b, ga_b, gbt_b)
-        head_grads["weight_f"][i] = gw_f
-        head_grads["alpha_f"][i] = ga_f
-        head_grads["beta_f"][i] = gbt_f
-        head_grads["weight_b"][i] = gw_b
-        head_grads["alpha_b"][i] = ga_b
-        head_grads["beta_b"][i] = gbt_b
-        head_grads["occ"][i] = gv
+    head_grads = synthesize_vjp(tape, g_frames)
     for g in head_grads.values():
-        g /= b
-    grads = model.backward(tape, head_grads)
-    return total / b, grads, blended_frames
+        g /= len(batch)
+    return total / len(batch), model.backward(tape.net, head_grads), frames
 
 
 def _discriminator_step(disc, disc_state, batch, blended_frames):
     """One classifier update on real-first vs generated-first orderings."""
     acc = {name: np.zeros_like(p) for name, p in disc.params.items()}
-    total = 0.0
     for triplet, blended in zip(batch, blended_frames):
         c1, tape1 = disc.forward(np.concatenate([triplet.first.pixels, blended]))
         c2, tape2 = disc.forward(np.concatenate([blended, triplet.last.pixels]))
-        loss, d_c1, d_c2 = discriminator_loss(c1, c2)
+        _, d_c1, d_c2 = discriminator_loss(c1, c2)
         g1, _ = disc.backward(tape1, d_c1)
         g2, _ = disc.backward(tape2, d_c2)
         for name in acc:
             acc[name] += g1[name] + g2[name]
-        total += loss
     for name in acc:
         acc[name] /= len(batch)
     adamax_step(disc_state, disc.params, acc)
-    return total / len(batch)
 
 
 def evaluate(model, triplets, wmode=WarpMode.ADACOF, occlusion_enabled=True):
-    """Mean PSNR/SSIM over triplets; returns (psnr, ssim)."""
-    psnrs, ssims = [], []
+    """Per-triplet (psnr, ssim, ie) rows; triplets may be any iterable."""
+    rows = []
     for t in triplets:
         blended, _, _, _ = infer(model, t.first.pixels, t.last.pixels,
                                  wmode, occlusion_enabled)
-        p = metrics.psnr(blended, t.middle.pixels)
-        psnrs.append(min(p, 100.0))
-        ssims.append(metrics.ssim(blended, t.middle.pixels))
-    return float(np.mean(psnrs)), float(np.mean(ssims))
+        gt = t.middle.pixels
+        rows.append((metrics.psnr(blended, gt), metrics.ssim(blended, gt),
+                     metrics.interpolation_error(blended, gt)))
+    return rows
+
+
+def mean_metrics(rows):
+    """Means of evaluate's rows, with PSNR capped at 100 dB per triplet."""
+    psnrs, ssims, ies = zip(*rows)
+    return (float(np.mean([min(p, 100.0) for p in psnrs])),
+            float(np.mean(ssims)), float(np.mean(ies)))
 
 
 def train(config, out_dir, log=None):
@@ -196,19 +164,22 @@ def train(config, out_dir, log=None):
     mirror the metrics CSV: epoch, phase, loss, val_psnr, val_ssim, plus
     per-quarter mean losses.
     """
-    os.makedirs(out_dir, exist_ok=True)
     wmode, occlusion_enabled, model_cfg = config.resolve()
     names = read_manifest(config.dataset_dir)
+    n_val = max(1, int(round(len(names) * config.val_fraction)))
+    n_train = len(names) - n_val
+    if n_train < config.batch:
+        raise ValueError(f"{config.dataset_dir}: {n_train} train triplets, "
+                         f"fewer than batch {config.batch}")
     triplets = [load_triplet(os.path.join(config.dataset_dir, n)) for n in names]
-    n_val = max(1, int(round(len(triplets) * config.val_fraction)))
     train_set = triplets[:-n_val]
     val_set = triplets[-n_val:]
 
+    os.makedirs(out_dir, exist_ok=True)
+    ckpt_extra = {"warp_mode": wmode.value, "occlusion_enabled": occlusion_enabled}
     model = SynthModel(model_cfg)
     state = AdaMaxState(lr=config.lr)
     schedule = Schedule(initial_lr=config.lr, period=config.schedule_period)
-    loss_cfg = LossConfig(lambda_1=config.lambda_1, lambda_vgg=config.lambda_vgg,
-                          lambda_adv=config.lambda_adv, mode="distortion")
     rng = np.random.default_rng(config.seed)
     history = []
     csv_path = os.path.join(out_dir, "metrics.csv")
@@ -236,12 +207,9 @@ def train(config, out_dir, log=None):
                 idx = order[start:start + config.batch]
                 batch = [_augmented(train_set[i], rng, config.crop,
                                     config.augment) for i in idx]
-                x = np.stack([np.concatenate([t.first.pixels, t.last.pixels])
-                              for t in batch])
-                out, tape = model.forward(x)
                 loss, grads, blended = _batch_losses_and_grads(
-                    model, out, tape, batch, wmode, occlusion_enabled,
-                    phase_cfg, extractor, disc)
+                    model, batch, wmode, occlusion_enabled, phase_cfg,
+                    extractor, disc)
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"loss became {loss} at epoch "
                                              f"{epoch_index}")
@@ -252,8 +220,8 @@ def train(config, out_dir, log=None):
             quarters = [float(np.mean(q)) for q in
                         np.array_split(np.asarray(step_losses),
                                        min(4, len(step_losses)))]
-            val_psnr, val_ssim = evaluate(model, val_set, wmode,
-                                          occlusion_enabled)
+            val_psnr, val_ssim, _ = mean_metrics(
+                evaluate(model, val_set, wmode, occlusion_enabled))
             row = {"epoch": epoch_index, "phase": phase,
                    "loss": float(np.mean(step_losses)),
                    "val_psnr": val_psnr, "val_ssim": val_ssim,
@@ -263,16 +231,13 @@ def train(config, out_dir, log=None):
                 f.write(f"{epoch_index},{phase},{row['loss']:.6g},"
                         f"{val_psnr:.6g},{val_ssim:.6g}\n")
             save_checkpoint(os.path.join(out_dir, f"ckpt_epoch{epoch_index:03d}.ackp"),
-                            model, extra={"epoch": epoch_index,
-                                          "warp_mode": wmode.value,
-                                          "occlusion_enabled": occlusion_enabled})
+                            model, extra={**ckpt_extra, "epoch": epoch_index})
             if log:
                 log(f"epoch {epoch_index} [{phase}] loss {row['loss']:.5f} "
                     f"val_psnr {val_psnr:.3f} val_ssim {val_ssim:.4f}")
             epoch_index += 1
     save_checkpoint(os.path.join(out_dir, "ckpt_final.ackp"), model,
-                    extra={"epoch": epoch_index - 1, "warp_mode": wmode.value,
-                           "occlusion_enabled": occlusion_enabled})
+                    extra={**ckpt_extra, "epoch": epoch_index - 1})
     return model, history
 
 

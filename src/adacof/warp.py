@@ -214,11 +214,12 @@ def project_mode(mode, weights, alpha, beta):
     """Constrain raw parameter maps to a mode's structure, with a VJP.
 
     Returns ((weights, alpha, beta), vjp) where vjp maps gradients on the
-    constrained maps back onto the raw maps. All modes keep the full-map
-    shapes so everything still evaluates through forward_warp.
+    constrained maps back onto the raw maps. The maps are (F*F, H, W), or
+    (B, F*F, H, W) for a batch. All modes keep the full-map shapes so
+    everything still evaluates through forward_warp.
     """
-    n = weights.shape[0]
-    hw = weights.shape[1] * weights.shape[2]
+    n = weights.shape[-3]
+    hw = weights.shape[-2] * weights.shape[-1]
     if mode in (WarpMode.ADACOF, WarpMode.FLOW_ONLY):
         return (weights, alpha, beta), lambda gw, ga, gb: (gw, ga, gb)
     if mode is WarpMode.KERNEL_ONLY:
@@ -228,11 +229,11 @@ def project_mode(mode, weights, alpha, beta):
     if mode is WarpMode.SHARED_WEIGHT:
         # one weight vector for the whole image: spatial mean of the
         # per-pixel simplex points (still on the simplex), broadcast back
-        shared = weights.mean(axis=(1, 2), keepdims=True)
+        shared = weights.mean(axis=(-2, -1), keepdims=True)
         w_out = np.broadcast_to(shared, weights.shape).copy()
 
         def vjp(gw, ga, gb):
-            gw_raw = np.broadcast_to(gw.sum(axis=(1, 2), keepdims=True) / hw,
+            gw_raw = np.broadcast_to(gw.sum(axis=(-2, -1), keepdims=True) / hw,
                                      weights.shape).copy()
             return gw_raw, ga, gb
 
@@ -240,12 +241,12 @@ def project_mode(mode, weights, alpha, beta):
     if mode is WarpMode.SDC:
         # a single flow vector per pixel (tap-mean of the raw offsets)
         # shared by every tap of the rigid dilated kernel
-        a_out = np.broadcast_to(alpha.mean(axis=0, keepdims=True), alpha.shape).copy()
-        b_out = np.broadcast_to(beta.mean(axis=0, keepdims=True), beta.shape).copy()
+        a_out = np.broadcast_to(alpha.mean(axis=-3, keepdims=True), alpha.shape).copy()
+        b_out = np.broadcast_to(beta.mean(axis=-3, keepdims=True), beta.shape).copy()
 
         def vjp(gw, ga, gb):
-            ga_raw = np.broadcast_to(ga.sum(axis=0, keepdims=True) / n, alpha.shape).copy()
-            gb_raw = np.broadcast_to(gb.sum(axis=0, keepdims=True) / n, beta.shape).copy()
+            ga_raw = np.broadcast_to(ga.sum(axis=-3, keepdims=True) / n, alpha.shape).copy()
+            gb_raw = np.broadcast_to(gb.sum(axis=-3, keepdims=True) / n, beta.shape).copy()
             return gw, ga_raw, gb_raw
 
         return (weights, a_out, b_out), vjp

@@ -14,14 +14,14 @@ import pytest
 
 from adacof import gradcheck as gc
 from adacof import metrics
-from adacof.core import Frame
+from adacof.core import Frame, sample_grid
 from adacof.datagen import (MotionSpec, generate_triplet, load_triplet,
                             read_manifest, write_dataset)
 from adacof.flowstats import mean_flow, variance_flow
 from adacof.losses import charbonnier_l1, generator_entropy_loss, discriminator_loss
 from adacof.optim import AdaMaxState, adamax_step
 from adacof.ppm import read_ppm, write_ppm
-from adacof.train import TrainConfig, train
+from adacof.train import TrainConfig, infer, train
 from adacof.warp import (WarpMode, WarpParams, forward_warp, identity_params,
                          make_mode_params)
 
@@ -105,7 +105,6 @@ def test_04_exact_warps(tmp_path):
     np.testing.assert_array_equal(out[:, :9, :8], image[:, 1:, 2:])
 
     # subpixel translation: matches a direct bilinear resample
-    from adacof.core import sample_grid
     dy, dx = -0.4, 1.6
     params = WarpParams(np.ones((1, 10, 10)), np.full((1, 10, 10), dy),
                         np.full((1, 10, 10), dx), 1, 0)
@@ -171,7 +170,6 @@ def test_06_training_beats_frame_average_baseline(training_runs):
 
 
 def test_07_mean_flow_sign_agreement_on_translations(training_runs):
-    from adacof.train import infer
     model, _ = training_runs["adacof"]
     rng = np.random.default_rng(99)
     agree = total = 0

@@ -126,6 +126,39 @@ def test_missing_file_is_reported_as_failure(tmp_path):
                  "--out", str(tmp_path / "o.ppm")]) == 1
 
 
+def test_bad_thread_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("ADACOF_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--module", "adacof"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "ADACOF_THREADS" in err and "'abc'" in err
+
+
+def test_eval_rejects_empty_index(trained, tmp_path, capsys):
+    (tmp_path / "index.txt").write_text("")
+    ckpt = os.path.join(trained, "ckpt_final.ackp")
+    assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(tmp_path / "index.txt") in captured.err
+
+
+def test_train_rejects_fewer_triplets_than_batch(tmp_path, capsys):
+    data = tmp_path / "three"
+    assert main(["gen-data", "--out", str(data), "--count", "3",
+                 "--size", "16", "--seed", "1"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset_dir": str(data), "F": 3, "depth": 1,
+                               "widths": [4], "batch": 4, "epochs": 1}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out",
+                 str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert str(data) in err and "2 train triplets" in err and "batch 4" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

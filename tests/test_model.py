@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from adacof.model import (ModelConfig, SynthModel, load_checkpoint,
-                          motion_features, save_checkpoint)
+from adacof.model import (HEAD_NAMES, ModelConfig, SynthModel, load_checkpoint,
+                          motion_features, save_checkpoint, synthesize,
+                          synthesize_vjp)
+from adacof.warp import (WarpMode, WarpParams, backward_warp_vjp, forward_warp,
+                         occlusion_blend, occlusion_blend_vjp, project_mode)
 
 
 def _tiny_config(**kw):
@@ -64,11 +67,64 @@ def test_input_validation():
 def test_sample_params_validate():
     model = SynthModel(_tiny_config())
     x = np.random.default_rng(3).random((1, 6, 16, 16))
-    out, _ = model.forward(x)
-    pf, pb, v = out.sample_params(0, 3, 1)
+    _, tape = synthesize(model, x, WarpMode.ADACOF, True)
+    pf, pb = tape.params[0]
     pf.validate()
     pb.validate()
-    assert v.shape == (16, 16)
+    assert tape.occ[0].shape == (16, 16)
+
+
+def _random_model(seed):
+    model = SynthModel(_tiny_config())
+    rng = np.random.default_rng(seed)
+    for name in model.params:
+        model.params[name] = rng.normal(0, 0.3, size=model.params[name].shape)
+    return model, rng.random((3, 6, 16, 16))
+
+
+# warp_mode names as TrainConfig takes them: 'woocc' is adacof unblended
+MODES = {"adacof": (WarpMode.ADACOF, True), "fb": (WarpMode.FLOW_ONLY, True),
+         "kb": (WarpMode.KERNEL_ONLY, True), "ws": (WarpMode.SHARED_WEIGHT, True),
+         "sdc": (WarpMode.SDC, True), "woocc": (WarpMode.ADACOF, False)}
+
+
+@pytest.mark.parametrize("name", sorted(MODES))
+def test_synthesize_matches_per_pair_composition(name):
+    """Frames, taped params and head gradients equal the per-pair
+    project_mode -> forward_warp x2 -> occlusion_blend composition."""
+    wmode, occ_on = MODES[name]
+    model, x = _random_model(6)
+    frames, tape = synthesize(model, x, wmode, occ_on)
+    upstream = np.random.default_rng(8).normal(size=frames.shape)
+    head_grads = synthesize_vjp(tape, upstream)
+    out, _ = model.forward(x)
+    assert frames.shape == (3, 3, 16, 16)
+    for i in range(3):
+        images = (x[i, :3], x[i, 3:])
+        params, vjps = [], []
+        for names, taped in zip((HEAD_NAMES[:3], HEAD_NAMES[3:6]), tape.params[i]):
+            (w, a, b), vjp = project_mode(wmode, *(getattr(out, n)[i] for n in names))
+            assert all(np.array_equal(got, want) for got, want in
+                       ((taped.weights, w), (taped.alpha, a), (taped.beta, b)))
+            params.append(WarpParams(w, a, b, 3, 1))
+            vjps.append(vjp)
+        warped = [forward_warp(img, p) for img, p in zip(images, params)]
+        assert np.array_equal(frames[i], occlusion_blend(*warped, out.occ[i],
+                                                         enabled=occ_on))
+        *g_warped, g_occ = occlusion_blend_vjp(*warped, out.occ[i], upstream[i],
+                                               enabled=occ_on)
+        want = []
+        for img, p, g, vjp in zip(images, params, g_warped, vjps):
+            want.extend(vjp(*backward_warp_vjp(img, p, g)[1:]))
+        for head, g in zip(HEAD_NAMES, want + [g_occ]):
+            assert np.array_equal(head_grads[head][i], g), head
+
+
+def test_synthesize_threads_are_bit_identical():
+    model, x = _random_model(7)
+    serial, _ = synthesize(model, x, WarpMode.ADACOF, True, threads=1)
+    threaded, _ = synthesize(model, x, WarpMode.ADACOF, True, threads=2)
+    assert np.array_equal(serial, threaded)
 
 
 def test_motion_features_recover_translation_direction():

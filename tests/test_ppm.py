@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adacof.core import Frame
-from adacof.ppm import read_pgm, read_ppm, write_pgm, write_ppm
+from adacof.ppm import read_ppm, write_ppm
 
 
 def test_ppm_roundtrip_on_grid_is_exact(tmp_path):
@@ -46,14 +46,6 @@ def test_gray_frame_written_as_rgb(tmp_path):
     np.testing.assert_array_equal(back.pixels[0], back.pixels[1])
 
 
-def test_pgm_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    vals = rng.integers(0, 256, size=(4, 5)).astype(np.float64) / 255.0
-    path = tmp_path / "m.pgm"
-    write_pgm(path, vals)
-    np.testing.assert_array_equal(read_pgm(path), vals)
-
-
 def test_header_comments_are_skipped(tmp_path):
     path = tmp_path / "c.ppm"
     body = bytes([10, 20, 30] * 4)
@@ -67,3 +59,13 @@ def test_wrong_magic_raises(tmp_path):
     path.write_bytes(b"P3\n1 1\n255\n000")
     with pytest.raises(ValueError):
         read_ppm(path)
+
+
+def test_truncated_file_names_file_and_sizes(tmp_path):
+    path = tmp_path / "short.ppm"
+    path.write_bytes(b"P6\n4 3\n255\n" + bytes(20))
+    with pytest.raises(ValueError) as exc:
+        read_ppm(path)
+    msg = str(exc.value)
+    assert str(path) in msg and "4x3" in msg and "36 bytes" in msg
+    assert "only 20 bytes" in msg

@@ -8,7 +8,7 @@ import pytest
 
 from adacof.datagen import load_triplet, read_manifest, write_dataset
 from adacof.model import load_checkpoint
-from adacof.train import TrainConfig, evaluate, infer, train
+from adacof.train import TrainConfig, evaluate, infer, mean_metrics, train
 from adacof.warp import WarpMode
 
 
@@ -116,6 +116,9 @@ def test_evaluate_reports_sane_metrics(tiny_dataset, tmp_path):
     model, _ = train(_tiny_config(tiny_dataset, epochs=1), str(tmp_path / "run"))
     names = read_manifest(tiny_dataset)
     triplets = [load_triplet(os.path.join(tiny_dataset, n)) for n in names[:3]]
-    p, s = evaluate(model, triplets)
+    rows = evaluate(model, triplets)
+    assert len(rows) == 3
+    p, s, ie = mean_metrics(rows)
     assert 10.0 < p <= 100.0
     assert 0.0 < s <= 1.0
+    assert ie > 0.0
