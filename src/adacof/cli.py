@@ -142,10 +142,9 @@ def cmd_sweep(args):
 
 
 def cmd_bench(args):
-    h, _, w = args.size.partition("x")
-    h, w = int(h), int(w)
+    h, w = (int(n) for n in args.size.split("x"))
     rng = np.random.default_rng(args.seed)
-    image, params = _bench_instance(rng, h, w, args.F, args.d)
+    image, params = gc.random_warp_instance(rng, (h, w), args.F, args.d, channels=3)
     print("threads,seconds,megapixel_taps_per_s")
     for threads in (int(t) for t in args.threads.split(",")):
         forward_warp(image, params, threads=threads)  # warm-up
@@ -157,17 +156,6 @@ def cmd_bench(args):
         mts = h * w * args.F * args.F / elapsed / 1e6
         print(f"{threads},{elapsed:.4f},{mts:.1f}")
     return 0
-
-
-def _bench_instance(rng, h, w, f, d):
-    f2 = f * f
-    logits = rng.normal(size=(f2, h, w))
-    e = np.exp(logits - logits.max(axis=0))
-    params = WarpParams(e / e.sum(axis=0),
-                        rng.uniform(-2, 2, size=(f2, h, w)),
-                        rng.uniform(-2, 2, size=(f2, h, w)),
-                        kernel_size=f, dilation=d)
-    return rng.random((3, h, w)), params
 
 
 def cmd_eval(args):

@@ -1,10 +1,15 @@
-"""Dense image/tensor carrier and the bilinear sampler shared by every module.
+"""Dense image/tensor carrier and the one bilinear sampler of the package.
 
 Arrays are plain numpy ndarrays in channel-outermost (C, H, W) layout.
 Computation runs in float64; file formats store float32 (see ppm/warp I/O).
-Boundary policy everywhere is replicate (coordinates clamped to the frame
-before corner lookup), and the subgradient at exactly-integer coordinates
-uses the cell to the right/below (right-continuous convention).
+The sampler works one warp tap at a time: bilinear_corners maps (y, x)
+coordinates to the flat indices y*W + x of their cell's corners, which
+sample_grid gathers from the image flattened to (C, N) and interpolates;
+sample_grid_with_grad is its VJP side. The warp, its VJPs and the data
+generator all sample through these functions.
+Boundary policy is replicate (coordinates clamped to the frame before
+corner lookup); the subgradient at exactly-integer coordinates uses the
+cell to the right/below (right-continuous convention).
 """
 
 from __future__ import annotations
@@ -53,54 +58,62 @@ class Frame:
         return self.pixels.shape
 
 
-def _corner_setup(h, w, ys, xs):
-    """Clamp coordinates and return corner indices plus fractional weights."""
+def bilinear_corners(h, w, ys, xs, base=0):
+    """Corners of the bilinear cell around each clamped (y, x) coordinate.
+
+    Returns (i00, i01, i10, i11, fy, fx): the flat indices base + y*w + x
+    of the top-left, top-right, bottom-left and bottom-right corners, and
+    the fractional position inside the cell. base offsets the indices into
+    a stack of flattened h*w images.
+    """
     yc = np.clip(ys, 0.0, h - 1.0)
     xc = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(yc).astype(np.intp)
-    x0 = np.floor(xc).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
+    # truncation is floor on the clamped, nonnegative coordinates
+    y0 = yc.astype(np.intp)
+    x0 = xc.astype(np.intp)
+    r0 = y0 * w + base
+    r1 = np.minimum(y0 + 1, h - 1) * w + base
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = yc - y0
-    fx = xc - x0
-    return y0, x0, y1, x1, fy, fx
+    return r0 + x0, r0 + x1, r1 + x0, r1 + x1, yc - y0, xc - x0
+
+
+def _gather(image, ys, xs):
+    """The four corner values of each (y, x), gathered from the image
+    flattened to (C, N) with np.take, and the cell fractions (fy, fx)."""
+    image = np.asarray(image, dtype=np.float64)
+    c, h, w = image.shape[0], image.shape[-2], image.shape[-1]
+    # in a batch, image b starts at flat index b*h*w
+    base = 0 if image.ndim == 3 else np.arange(image.shape[1]).reshape(
+        (-1,) + (1,) * (np.ndim(ys) - 1)) * (h * w)
+    flat = image.reshape(c, -1)
+    *corners, fy, fx = bilinear_corners(h, w, ys, xs, base)
+    return [np.take(flat, i, axis=1) for i in corners], fy, fx
 
 
 def sample_grid(image, ys, xs):
-    """Bilinearly sample (C, H, W) image at arrays of (y, x) coordinates.
+    """Bilinearly sample an image at arrays of (y, x) coordinates.
 
-    Returns an array of shape (C,) + ys.shape. Coordinates outside the frame
-    are clamped (replicate boundary).
+    image is (C, H, W), giving (C,) + ys.shape; or a channel-major batch
+    (C, B, H, W) with ys and xs shaped (B, ...), where ys[b] samples image
+    b, giving (C, B, ...). One call evaluates one warp tap.
     """
-    image = np.asarray(image, dtype=np.float64)
-    c, h, w = image.shape
-    y0, x0, y1, x1, fy, fx = _corner_setup(h, w, ys, xs)
-    w00 = (1.0 - fy) * (1.0 - fx)
-    w01 = (1.0 - fy) * fx
-    w10 = fy * (1.0 - fx)
-    w11 = fy * fx
-    return (w00 * image[:, y0, x0] + w01 * image[:, y0, x1]
-            + w10 * image[:, y1, x0] + w11 * image[:, y1, x1])
+    (v00, v01, v10, v11), fy, fx = _gather(image, ys, xs)
+    gy, gx = 1.0 - fy, 1.0 - fx
+    return gy * gx * v00 + gy * fx * v01 + fy * gx * v10 + fy * fx * v11
 
 
-def sample_grid_with_grad(image, ys, xs):
-    """Sample and return coordinate derivatives as well.
+def sample_grid_with_grad(image, ys, xs, upstream):
+    """The VJP side of sample_grid for one warp tap.
 
-    Returns (values, dv_dy, dv_dx), each shaped (C,) + ys.shape.
-    Coordinate derivatives are zero where the raw coordinate lies outside
-    [0, extent-1] (the replicate extension is constant there).
+    upstream is shaped like sample_grid's result. Returns (value, d_dy,
+    d_dx), each shaped like ys: the channel sum of upstream * sample and
+    its derivatives w.r.t. the coordinates, zero where the raw coordinate
+    lies outside the frame (the replicate extension is constant there).
     """
-    image = np.asarray(image, dtype=np.float64)
-    c, h, w = image.shape
-    y0, x0, y1, x1, fy, fx = _corner_setup(h, w, ys, xs)
-    i00 = image[:, y0, x0]
-    i01 = image[:, y0, x1]
-    i10 = image[:, y1, x0]
-    i11 = image[:, y1, x1]
-    vals = ((1.0 - fy) * (1.0 - fx) * i00 + (1.0 - fy) * fx * i01
-            + fy * (1.0 - fx) * i10 + fy * fx * i11)
-    in_y = (ys >= 0.0) & (ys <= h - 1.0)
-    in_x = (xs >= 0.0) & (xs <= w - 1.0)
-    dv_dy = ((1.0 - fx) * (i10 - i00) + fx * (i11 - i01)) * in_y
-    dv_dx = ((1.0 - fy) * (i01 - i00) + fy * (i11 - i10)) * in_x
-    return vals, dv_dy, dv_dx
+    corners, fy, fx = _gather(image, ys, xs)
+    u00, u01, u10, u11 = ((upstream * v).sum(axis=0) for v in corners)
+    gy, gx = 1.0 - fy, 1.0 - fx
+    h, w = np.shape(image)[-2:]
+    return (gy * gx * u00 + gy * fx * u01 + fy * gx * u10 + fy * fx * u11,
+            np.where((ys >= 0.0) & (ys <= h - 1.0), gx * (u10 - u00) + fx * (u11 - u01), 0.0),
+            np.where((xs >= 0.0) & (xs <= w - 1.0), gy * (u01 - u00) + fy * (u11 - u10), 0.0))

@@ -171,20 +171,16 @@ def augment(triplet, seed, crop=None, p_flip_h=0.5, p_flip_v=0.5, p_swap=0.5):
     occ = None if triplet.occlusion is None else \
         triplet.occlusion[y0:y0 + crop, x0:x0 + crop].copy()
 
-    if rng.random() < p_flip_h:
-        frames = [f[:, :, ::-1] for f in frames]
-        if flow is not None:
-            flow = flow[:, :, ::-1].copy()
-            flow[1] = -flow[1]
-        if occ is not None:
-            occ = occ[:, ::-1]
-    if rng.random() < p_flip_v:
-        frames = [f[:, ::-1, :] for f in frames]
-        if flow is not None:
-            flow = flow[:, ::-1, :].copy()
-            flow[0] = -flow[0]
-        if occ is not None:
-            occ = occ[::-1, :]
+    # horizontal then vertical flip: mirror the frames and negate the
+    # flow component along the flipped axis
+    for axis, p_flip in ((2, p_flip_h), (1, p_flip_v)):
+        if rng.random() < p_flip:
+            frames = [np.flip(f, axis) for f in frames]
+            if flow is not None:
+                flow = np.flip(flow, axis).copy()
+                flow[axis - 1] = -flow[axis - 1]
+            if occ is not None:
+                occ = np.flip(occ, axis - 1)
     if rng.random() < p_swap:
         frames = [frames[2], frames[1], frames[0]]
         if flow is not None:

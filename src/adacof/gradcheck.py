@@ -7,13 +7,16 @@ entries are near zero.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .losses import (Discriminator, GradientBankExtractor, charbonnier_l1,
                      discriminator_loss, generator_entropy_loss, perceptual_loss)
 from .model import ModelConfig, SynthModel, synthesize, synthesize_vjp
-from .warp import (WarpMode, WarpParams, _sample_coords, backward_warp_vjp,
-                   forward_warp, occlusion_blend, occlusion_blend_vjp)
+from .warp import (WarpMode, WarpParams, _tap_coords, backward_warp_image_vjp,
+                   backward_warp_vjp, forward_warp, occlusion_blend,
+                   occlusion_blend_vjp)
 
 FD_STEP = 1e-3
 
@@ -44,53 +47,52 @@ def block_rel_err(analytic, numeric, floor=1e-8):
 
 
 def random_warp_instance(rng, size=4, f=3, d=1, channels=1):
-    """Softmax-normalized weights and off-grid-jittered offsets."""
-    f2 = f * f
-    logits = rng.normal(size=(f2, size, size))
+    """Softmax-normalized weights and off-grid-jittered offsets on a
+    size x size frame, or an (H, W) one when size is a pair."""
+    hw = tuple(size) if np.ndim(size) else (size, size)
+    shape = (f * f,) + hw
+    logits = rng.normal(size=shape)
     e = np.exp(logits - logits.max(axis=0))
     weights = e / e.sum(axis=0)
     # keep fractional parts away from the integer-grid kinks
-    alpha = rng.uniform(-2.0, 2.0, size=(f2, size, size))
-    beta = rng.uniform(-2.0, 2.0, size=(f2, size, size))
+    alpha = rng.uniform(-2.0, 2.0, size=shape)
+    beta = rng.uniform(-2.0, 2.0, size=shape)
     for arr in (alpha, beta):
         frac = arr - np.floor(arr)
         arr += np.where(frac < 0.1, 0.15, 0.0) - np.where(frac > 0.9, 0.15, 0.0)
-    image = rng.random((channels, size, size))
-    params = WarpParams(weights, alpha, beta, kernel_size=f, dilation=d)
-    return image, params
+    image = rng.random((channels,) + hw)
+    return image, WarpParams(weights, alpha, beta, kernel_size=f, dilation=d)
 
 
 def check_adacof(seed=0, instances=3):
-    """FD check of all four warp VJP blocks plus the blend; returns max err."""
+    """FD check of the warp's image and parameter VJPs plus the blend;
+    returns the max error."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
         image, params = random_warp_instance(rng)
         upstream = rng.normal(size=image.shape)
 
-        def loss(img=None, w=None, a=None, b=None):
-            p = WarpParams(w if w is not None else params.weights,
-                           a if a is not None else params.alpha,
-                           b if b is not None else params.beta,
-                           params.kernel_size, params.dilation)
-            out = forward_warp(image if img is None else img, p, validate=False)
+        def loss(image=image, **maps):
+            out = forward_warp(image, replace(params, **maps), validate=False)
             return float((out * upstream).sum())
 
-        gi, gw, ga, gb = backward_warp_vjp(image, params, upstream)
-        worst = max(worst, block_rel_err(gi, fd_gradient(lambda z: loss(img=z), image.copy())))
-        worst = max(worst, block_rel_err(gw, fd_gradient(lambda z: loss(w=z), params.weights.copy())))
-        worst = max(worst, block_rel_err(ga, fd_gradient(lambda z: loss(a=z), params.alpha.copy())))
-        worst = max(worst, block_rel_err(gb, fd_gradient(lambda z: loss(b=z), params.beta.copy())))
+        analytic = (backward_warp_image_vjp(params, upstream),
+                    *backward_warp_vjp(image, params, upstream))
+        for name, grad in zip(("image", "weights", "alpha", "beta"), analytic):
+            x = image if name == "image" else getattr(params, name)
+            numeric = fd_gradient(lambda z: loss(**{name: z}), x.copy())
+            worst = max(worst, block_rel_err(grad, numeric))
 
-        fwd = rng.random((1, 4, 4))
-        bwd = rng.random((1, 4, 4))
-        v = rng.uniform(0.1, 0.9, size=(4, 4))
-        up = rng.normal(size=fwd.shape)
-        gf, gbk, gv = occlusion_blend_vjp(fwd, bwd, v, up)
-        blend = lambda f_, b_, v_: float((occlusion_blend(f_, b_, v_) * up).sum())
-        worst = max(worst, block_rel_err(gf, fd_gradient(lambda z: blend(z, bwd, v), fwd.copy())))
-        worst = max(worst, block_rel_err(gbk, fd_gradient(lambda z: blend(fwd, z, v), bwd.copy())))
-        worst = max(worst, block_rel_err(gv, fd_gradient(lambda z: blend(fwd, bwd, z), v.copy())))
+        # blend inputs: forward frame, backward frame, visibility map
+        inputs = [rng.random((1, 4, 4)), rng.random((1, 4, 4)),
+                  rng.uniform(0.1, 0.9, size=(4, 4))]
+        up = rng.normal(size=(1, 4, 4))
+        for k, grad in enumerate(occlusion_blend_vjp(*inputs, up)):
+            def blend(z, k=k):
+                return float((occlusion_blend(*inputs[:k], z, *inputs[k + 1:]) * up).sum())
+
+            worst = max(worst, block_rel_err(grad, fd_gradient(blend, inputs[k].copy())))
     return worst
 
 
@@ -112,7 +114,7 @@ def check_network(seed=0, size=8):
         x = np.concatenate([first, last])[None]
         frames, tape = synthesize(model, x, WarpMode.ADACOF, True)
         dist = min(np.abs(coords - np.round(coords)).min()
-                   for p in tape.params[0] for coords in _sample_coords(p))
+                   for p in tape.params for _, *yx in _tap_coords(p) for coords in yx)
         if dist > 2e-3:
             break
     else:

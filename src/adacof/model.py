@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,17 +50,11 @@ class ModelConfig:
         return self.kernel_size * self.kernel_size
 
     def to_dict(self):
-        return {"kernel_size": self.kernel_size, "dilation": self.dilation,
-                "depth": self.depth, "widths": list(self.widths),
-                "in_channels": self.in_channels, "frontend": self.frontend,
-                "seed": self.seed}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(kernel_size=d["kernel_size"], dilation=d["dilation"],
-                   depth=d["depth"], widths=tuple(d["widths"]),
-                   in_channels=d.get("in_channels", 6),
-                   frontend=d.get("frontend", True), seed=d.get("seed", 0))
+        return cls(**d)
 
     @property
     def encoder_channels(self):
@@ -125,12 +119,12 @@ class ModelOutputs:
 
 @dataclass
 class SynthTape:
-    """What synthesize_vjp replays: one entry per frame pair of the batch."""
+    """What synthesize_vjp replays; every array keeps the batch axis."""
 
     net: dict             # SynthModel.forward tape, None if not kept
     x: np.ndarray         # (B, 6, H, W) network input, first frames then last
-    params: list          # (forward, backward) WarpParams after project_mode
-    warped: list          # (forward, backward) warped frames, each (3, H, W)
+    params: tuple         # (forward, backward) batched WarpParams after project_mode
+    warped: tuple         # (forward, backward) warped frames, each (B, 3, H, W)
     occ: np.ndarray       # (B, H, W) visibility maps
     mode_vjps: tuple      # project_mode VJPs, forward then backward direction
     occlusion_enabled: bool
@@ -140,13 +134,13 @@ def synthesize(model, x, wmode, occlusion_enabled, threads=1, *,
                keep_net_tape=True):
     """Interpolate the middle frame of each pair in a (B, 6, H, W) batch.
 
-    Runs the network, projects both directions' raw parameter maps onto
-    the warp mode once for the whole batch, warps each pair's first frame
-    by its forward parameters and its last frame by its backward ones, and
-    blends the two with the pair's visibility map. Returns the (B, 3, H, W)
-    frames and the SynthTape that synthesize_vjp replays. Inference passes
-    keep_net_tape=False to free the network tape (about 0.5 GB of im2col
-    buffers at 256x256) before the warps; SynthModel.backward needs it.
+    Runs the network, projects the raw parameter maps onto the warp mode,
+    warps the first frames forward and the last frames backward (one
+    batched forward_warp per direction) and blends them with the
+    visibility maps. Returns the (B, 3, H, W) frames and the SynthTape
+    that synthesize_vjp replays. Inference passes keep_net_tape=False to
+    free the network tape (about 0.5 GB of im2col buffers at 256x256)
+    before the warps; SynthModel.backward needs it.
     """
     cfg = model.config
     out, net_tape = model.forward(x)
@@ -154,18 +148,14 @@ def synthesize(model, x, wmode, occlusion_enabled, threads=1, *,
         net_tape = None
     (wf, af, bf), vjp_f = project_mode(wmode, out.weight_f, out.alpha_f, out.beta_f)
     (wb, ab, bb), vjp_b = project_mode(wmode, out.weight_b, out.alpha_b, out.beta_b)
-    params, warped, frames = [], [], []
-    for i in range(len(x)):
-        pf = WarpParams(wf[i], af[i], bf[i], cfg.kernel_size, cfg.dilation)
-        pb = WarpParams(wb[i], ab[i], bb[i], cfg.kernel_size, cfg.dilation)
-        fwd = forward_warp(x[i, :3], pf, threads=threads)
-        bwd = forward_warp(x[i, 3:], pb, threads=threads)
-        frames.append(occlusion_blend(fwd, bwd, out.occ[i], enabled=occlusion_enabled))
-        params.append((pf, pb))
-        warped.append((fwd, bwd))
-    tape = SynthTape(net_tape, x, params, warped, out.occ, (vjp_f, vjp_b),
+    pf = WarpParams(wf, af, bf, cfg.kernel_size, cfg.dilation)
+    pb = WarpParams(wb, ab, bb, cfg.kernel_size, cfg.dilation)
+    fwd = forward_warp(x[:, :3], pf, threads=threads)
+    bwd = forward_warp(x[:, 3:], pb, threads=threads)
+    frames = occlusion_blend(fwd, bwd, out.occ, enabled=occlusion_enabled)
+    tape = SynthTape(net_tape, x, (pf, pb), (fwd, bwd), out.occ, (vjp_f, vjp_b),
                      occlusion_enabled)
-    return np.stack(frames), tape
+    return frames, tape
 
 
 def synthesize_vjp(tape, upstream):
@@ -174,16 +164,13 @@ def synthesize_vjp(tape, upstream):
     Returns the gradients on the constrained head outputs, keyed by head
     name, in the form SynthModel.backward takes.
     """
-    per_pair = []
-    for i, ((pf, pb), (fwd, bwd)) in enumerate(zip(tape.params, tape.warped)):
-        gf, gb, gv = occlusion_blend_vjp(fwd, bwd, tape.occ[i], upstream[i],
-                                         enabled=tape.occlusion_enabled)
-        _, gw_f, ga_f, gbt_f = backward_warp_vjp(tape.x[i, :3], pf, gf)
-        _, gw_b, ga_b, gbt_b = backward_warp_vjp(tape.x[i, 3:], pb, gb)
-        per_pair.append((gw_f, ga_f, gbt_f, gw_b, ga_b, gbt_b, gv))
-    g = [np.stack(per_head) for per_head in zip(*per_pair)]
+    pf, pb = tape.params
+    gf, gb, gv = occlusion_blend_vjp(*tape.warped, tape.occ, upstream,
+                                     enabled=tape.occlusion_enabled)
     vjp_f, vjp_b = tape.mode_vjps
-    return dict(zip(HEAD_NAMES, (*vjp_f(*g[:3]), *vjp_b(*g[3:6]), g[6])))
+    grads = (*vjp_f(*backward_warp_vjp(tape.x[:, :3], pf, gf)),
+             *vjp_b(*backward_warp_vjp(tape.x[:, 3:], pb, gb)), gv)
+    return dict(zip(HEAD_NAMES, grads))
 
 
 class SynthModel:
@@ -249,7 +236,7 @@ class SynthModel:
         congruent with self.params.
         """
         cfg = self.config
-        grads = {name: np.zeros_like(arr) for name, arr in self.params.items()}
+        grads = dict.fromkeys(self.params)
         gh = None
         for name in HEAD_NAMES:
             g = out_grads[name]
@@ -258,32 +245,20 @@ class SynthModel:
                 g = g[:, None]
             if bw_act is not None:
                 g = bw_act(g)
-            gx, gk, gb = bw_conv(g)
-            grads[f"head.{name}.w"] += gk
-            grads[f"head.{name}.b"] += gb
+            gx, grads[f"head.{name}.w"], grads[f"head.{name}.b"] = bw_conv(g)
             gh = gx if gh is None else gh + gx
         skip_grads = [None] * cfg.depth
         for stage, i in zip(reversed(tape["dec"]), range(cfg.depth)):
             bw_up, bw_cat, bw_conv, bw_relu = stage
-            g = bw_relu(gh)
-            gx, gk, gb = bw_conv(g)
-            grads[f"dec{i}.w"] += gk
-            grads[f"dec{i}.b"] += gb
-            g_up, g_skip = bw_cat(gx)
-            skip_grads[i] = g_skip
+            gx, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = bw_conv(bw_relu(gh))
+            g_up, skip_grads[i] = bw_cat(gx)
             gh = bw_up(g_up)
         bw_conv, bw_relu = tape["bottleneck"]
-        g = bw_relu(gh)
-        gh, gk, gb = bw_conv(g)
-        grads["bottleneck.w"] += gk
-        grads["bottleneck.b"] += gb
+        gh, grads["bottleneck.w"], grads["bottleneck.b"] = bw_conv(bw_relu(gh))
         for i in reversed(range(cfg.depth)):
             bw_conv, bw_relu, bw_pool = tape["enc"][i]
-            g = bw_pool(gh) + skip_grads[i]
-            g = bw_relu(g)
-            gh, gk, gb = bw_conv(g)
-            grads[f"enc{i}.w"] += gk
-            grads[f"enc{i}.b"] += gb
+            g = bw_relu(bw_pool(gh) + skip_grads[i])
+            gh, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = bw_conv(g)
         return grads
 
 
@@ -342,28 +317,30 @@ def load_checkpoint(path):
         data = f.read()
     if data[:4] != CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    version, blob_len = struct.unpack_from("<2I", data, 4)
+    pos = 4
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(data):
+            raise ValueError(f"{path}: checkpoint is cut short: {len(data)} bytes, "
+                             f"the next field ends at byte {pos + n}")
+        pos += n
+        return data[pos - n:pos]
+
+    def uints(k):
+        return struct.unpack(f"<{k}I", take(4 * k))
+
+    version, blob_len = uints(2)
     if version != CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
-    cfg = json.loads(data[pos:pos + blob_len].decode())
-    pos += blob_len
+    cfg = json.loads(take(blob_len).decode())
     extra = cfg.pop("extra", None)
-    config = ModelConfig.from_dict(cfg)
-    count, = struct.unpack_from("<I", data, pos)
-    pos += 4
     params = {}
-    for _ in range(count):
-        nlen, = struct.unpack_from("<I", data, pos)
-        pos += 4
-        name = data[pos:pos + nlen].decode()
-        pos += nlen
-        ndim, = struct.unpack_from("<I", data, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{ndim}I", data, pos)
-        pos += 4 * ndim
-        n = int(np.prod(shape))
-        params[name] = np.frombuffer(data, dtype="<f4", count=n,
-                                     offset=pos).astype(np.float64).reshape(shape)
-        pos += 4 * n
-    return SynthModel(config, params), extra
+    for _ in range(uints(1)[0]):
+        name = take(uints(1)[0]).decode()
+        shape = uints(uints(1)[0])
+        raw = take(4 * int(np.prod(shape)))
+        params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+    if pos != len(data):
+        raise ValueError(f"{path}: {len(data) - pos} bytes follow the last tensor")
+    return SynthModel(ModelConfig.from_dict(cfg), params), extra

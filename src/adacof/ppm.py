@@ -6,6 +6,8 @@ value already on the 1/255 grid round-trips bit-exactly.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .core import Frame
@@ -16,27 +18,22 @@ def _quantize(values):
     return np.floor(np.clip(values, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
 
 
-def _read_header(data):
+# P6, width, height and maxval after whitespace or '#' comments, one whitespace byte
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_HEADER = re.compile(rb"P6" + (_SEP + rb"(\d+)") * 3 + rb"\s")
+
+
+def _read_header(data, path):
     if not data.startswith(b"P6"):
-        raise ValueError("not a P6 file")
-    # header tokens: magic, width, height, maxval; '#' comments allowed
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(int(data[start:pos]))
-    pos += 1  # single whitespace byte after maxval
-    width, height, maxval = tokens
+        raise ValueError(f"{path}: not a binary PPM (P6) file, it starts with {data[:2]!r}")
+    m = _HEADER.match(data)
+    if m is None:
+        raise ValueError(f"{path}: P6 header is cut short or malformed: it must "
+                         "give width, height and maxval, each after whitespace")
+    width, height, maxval = (int(n) for n in m.groups())
     if maxval != 255:
-        raise ValueError(f"only maxval 255 supported, got {maxval}")
-    return width, height, pos
+        raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
+    return width, height, m.end()
 
 
 def write_ppm(path, frame):
@@ -56,7 +53,7 @@ def write_ppm(path, frame):
 def read_ppm(path):
     with open(path, "rb") as f:
         data = f.read()
-    width, height, pos = _read_header(data)
+    width, height, pos = _read_header(data, path)
     size = width * height * 3
     if len(data) - pos < size:
         raise ValueError(f"{path}: header declares {width}x{height} pixels "

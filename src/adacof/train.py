@@ -18,8 +18,7 @@ from .losses import (Discriminator, GradientBankExtractor, LossConfig,
 from .model import (ModelConfig, SynthModel, save_checkpoint, synthesize,
                     synthesize_vjp)
 from .optim import AdaMaxState, Schedule, adamax_step
-# forward_warp is not called here; perfbench/test_perfbench.py uses this
-# module's `from .warp import` binding of it to test the tracer
+# unused here: perfbench's tracer test reads this module's forward_warp binding
 from .warp import WarpMode, forward_warp  # noqa: F401
 
 # short names accepted for TrainConfig fields, as in the paper's notation
@@ -78,8 +77,8 @@ def infer(model, first, last, warp_mode=WarpMode.ADACOF, occlusion_enabled=True,
                         np.asarray(last, dtype=np.float64)])[None]
     frames, tape = synthesize(model, x, warp_mode, occlusion_enabled, threads,
                               keep_net_tape=False)
-    pf, pb = tape.params[0]
-    return frames[0], pf, pb, tape.occ[0]
+    pf, pb = tape.params
+    return frames[0], pf.at(0), pb.at(0), tape.occ[0]
 
 
 def _batch_losses_and_grads(model, batch, wmode, occlusion_enabled, loss_cfg,
@@ -93,16 +92,13 @@ def _batch_losses_and_grads(model, batch, wmode, occlusion_enabled, loss_cfg,
     frames, tape = synthesize(model, x, wmode, occlusion_enabled)
     g_frames = np.empty_like(frames)
     total = 0.0
-    for i, triplet in enumerate(batch):
-        first = triplet.first.pixels
-        last = triplet.last.pixels
+    for i, (triplet, blended) in enumerate(zip(batch, frames)):
         gt = triplet.middle.pixels
-        blended = frames[i]
         l1, g_l1 = charbonnier_l1(blended, gt, loss_cfg.epsilon)
         if loss_cfg.mode == "perception":
             vgg, g_vgg = perceptual_loss(blended, gt, extractor)
-            c1, tape1 = disc.forward(np.concatenate([first, blended]))
-            c2, tape2 = disc.forward(np.concatenate([blended, last]))
+            c1, tape1 = disc.forward(np.concatenate([triplet.first.pixels, blended]))
+            c2, tape2 = disc.forward(np.concatenate([blended, triplet.last.pixels]))
             adv, d_c1, d_c2 = generator_entropy_loss(c1, c2)
             _, g_in1 = disc.backward(tape1, d_c1)
             _, g_in2 = disc.backward(tape2, d_c2)

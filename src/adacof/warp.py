@@ -14,11 +14,12 @@ from __future__ import annotations
 import enum
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Frame, _corner_setup, check_finite, sample_grid, sample_grid_with_grad
+from .core import (Frame, bilinear_corners, check_finite, sample_grid,
+                   sample_grid_with_grad)
 
 ACOF_MAGIC = b"ACOF"
 ACOF_VERSION = 1
@@ -26,6 +27,10 @@ ACOF_VERSION = 1
 # weight-simplex validation tolerance; 1e-5 (not 1e-6) so that float32
 # round-tripped dumps of exactly-normalized weights still validate
 WEIGHT_ATOL = 1e-5
+
+# forward_warp's largest row band in output pixels: small enough that each
+# tap's temporaries are reused from the heap instead of freshly mapped
+BAND_PIXELS = 8192
 
 
 class WarpMode(enum.Enum):
@@ -40,9 +45,9 @@ class WarpMode(enum.Enum):
 class WarpParams:
     """Per-pixel kernel weights and offset maps for one warp direction.
 
-    weights/alpha/beta are (F*F, H, W); alpha holds vertical offsets in
-    pixels, beta horizontal ones. Weights must be nonnegative and sum to 1
-    over the tap axis at every pixel.
+    weights/alpha/beta are (F*F, H, W), or (B, F*F, H, W) for a batch;
+    alpha holds vertical offsets in pixels, beta horizontal ones. Weights
+    must be nonnegative and sum to 1 over the tap axis at every pixel.
     """
 
     weights: np.ndarray
@@ -52,17 +57,22 @@ class WarpParams:
     dilation: int = 0
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        self.beta = np.asarray(self.beta, dtype=np.float64)
+        for name in ("weights", "alpha", "beta"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
 
     @property
     def height(self):
-        return self.weights.shape[1]
+        return self.weights.shape[-2]
 
     @property
     def width(self):
-        return self.weights.shape[2]
+        return self.weights.shape[-1]
+
+    def at(self, i):
+        """The maps indexed on their leading axis: sample i of a batch, or
+        with i=None a batch of one."""
+        return replace(self, weights=self.weights[i], alpha=self.alpha[i],
+                       beta=self.beta[i])
 
     def validate(self):
         f2 = self.kernel_size * self.kernel_size
@@ -70,7 +80,7 @@ class WarpParams:
             raise ValueError("kernel_size must be >= 1")
         if self.dilation < 0:
             raise ValueError("dilation must be >= 0")
-        shape = (f2, self.height, self.width)
+        shape = self.weights.shape[:-3] + (f2, self.height, self.width)
         for name in ("weights", "alpha", "beta"):
             arr = getattr(self, name)
             if arr.shape != shape:
@@ -78,15 +88,14 @@ class WarpParams:
             check_finite(arr, name)
         if self.weights.min() < -WEIGHT_ATOL:
             raise ValueError("negative kernel weight")
-        sums = self.weights.sum(axis=0)
+        sums = self.weights.sum(axis=-3)
         if np.abs(sums - 1.0).max() > WEIGHT_ATOL:
             raise ValueError("kernel weights must sum to 1 at every pixel")
 
     def tap_grid_offsets(self):
         """Centered dilated base-grid displacement of each tap, two (F*F,) arrays."""
         f, d = self.kernel_size, self.dilation
-        k = np.arange(f * f) // f
-        l = np.arange(f * f) % f
+        k, l = np.divmod(np.arange(f * f), f)
         center = d * (f - 1) / 2.0
         return d * k - center, d * l - center
 
@@ -98,115 +107,132 @@ def identity_params(height, width):
 
 
 def _as_pixels(image):
-    if isinstance(image, Frame):
-        return image.pixels
-    return np.asarray(image, dtype=np.float64)
+    return image.pixels if isinstance(image, Frame) else np.asarray(image, dtype=np.float64)
 
 
-def _sample_coords(params, rows=None):
-    """(ys, xs) sampling coordinates, each (F*F, R, W)."""
-    h, w = params.height, params.width
+def _tap_coords(params, rows=slice(None)):
+    """Yield (t, ys, xs): the sampling coordinates of tap t on the given rows."""
     gy, gx = params.tap_grid_offsets()
-    rows = slice(None) if rows is None else rows
-    i = np.arange(h, dtype=np.float64)[rows][None, :, None]
-    j = np.arange(w, dtype=np.float64)[None, None, :]
-    ys = i + gy[:, None, None] + params.alpha[:, rows, :]
-    xs = j + gx[:, None, None] + params.beta[:, rows, :]
-    return ys, xs
+    i = np.arange(params.height, dtype=np.float64)[rows][:, None]
+    j = np.arange(params.width, dtype=np.float64)
+    for t in range(len(gy)):
+        yield (t, (i + gy[t]) + params.alpha[..., t, rows, :],
+               (j + gx[t]) + params.beta[..., t, rows, :])
+
+
+def _as_batch(image, params):
+    """(B, C, H, W) pixels and batched params, and whether the call was unbatched."""
+    pixels, maps = _as_pixels(image), params.weights.shape
+    if pixels.shape[:-3] + pixels.shape[-2:] != maps[:-3] + maps[-2:]:
+        raise ValueError(f"image {pixels.shape} does not match params maps {maps}")
+    return (pixels[None], params.at(None), True) if pixels.ndim == 3 else (pixels, params, False)
 
 
 def forward_warp(image, params, threads=1, validate=True):
-    """Warp a (C, H, W) image (or Frame) by the given parameters.
+    """Warp a (C, H, W) image (or Frame) by (F*F, H, W) maps, or a
+    (B, C, H, W) batch by (B, F*F, H, W) maps, bit-identical per sample.
 
-    Output pixels are convex combinations of bilinear samples, so values
-    stay within the input's range. Row bands are independent, which makes
-    the multithreaded result bit-identical to the serial one. validate=False
-    skips the weight-simplex check (finite-difference probing needs to
-    evaluate slightly off the simplex).
+    Output pixels are convex sums of bilinear samples, accumulated one tap
+    at a time over row bands (at most BAND_PIXELS pixels, one per thread or
+    more); every operation is elementwise per pixel, so any thread count
+    gives the same bits. validate=False skips the weight-simplex check
+    (finite-difference probing evaluates slightly off the simplex).
     """
-    pixels = _as_pixels(image)
     if validate:
         params.validate()
-    c, h, w = pixels.shape
-    if (h, w) != (params.height, params.width):
-        raise ValueError(f"image is {h}x{w} but params are "
-                         f"{params.height}x{params.width}")
+    pixels, params, single = _as_batch(image, params)
+    b, _, h, w = pixels.shape
+    src = np.ascontiguousarray(pixels.transpose(1, 0, 2, 3))  # (C, B, H, W)
 
     def band(rows):
-        ys, xs = _sample_coords(params, rows)
-        samples = sample_grid(pixels, ys, xs)
-        return np.einsum("tij,ctij->cij", params.weights[:, rows, :], samples)
+        out = 0.0
+        for t, ys, xs in _tap_coords(params, rows):
+            out += params.weights[:, t, rows] * sample_grid(src, ys, xs)
+        return out
 
-    if threads <= 1 or h < 2 * threads:
-        return band(slice(None))
-    bounds = np.linspace(0, h, threads + 1, dtype=int)
-    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-        parts = list(pool.map(band, slices))
-    return np.concatenate(parts, axis=1)
+    rows_per = max(1, min(BAND_PIXELS // (b * w), -(-h // max(threads, 1))))
+    slices = [slice(r, r + rows_per) for r in range(0, h, rows_per)]
+    if threads > 1 and len(slices) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(slices))) as pool:
+            parts = list(pool.map(band, slices))
+    else:
+        parts = [band(rows) for rows in slices]
+    out = np.concatenate(parts, axis=2)
+    return out[:, 0] if single else np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
 def backward_warp_vjp(image, params, upstream):
-    """VJP of forward_warp w.r.t. the image and all three parameter maps.
+    """VJP of forward_warp w.r.t. the maps: (grad_weights, grad_alpha, grad_beta).
 
-    Returns (grad_image, grad_weights, grad_alpha, grad_beta).
+    Each tap's corners are recomputed from params by
+    core.sample_grid_with_grad. The image gradient, which training never
+    needs, is backward_warp_image_vjp.
     """
-    pixels = _as_pixels(image)
     params.validate()
-    upstream = np.asarray(upstream, dtype=np.float64)
-    c, h, w = pixels.shape
-    ys, xs = _sample_coords(params)
-    samples, ds_dy, ds_dx = sample_grid_with_grad(pixels, ys, xs)  # (C,F2,H,W)
+    pixels, params, single = _as_batch(image, params)
+    src = np.ascontiguousarray(pixels.transpose(1, 0, 2, 3))
+    up = np.ascontiguousarray(np.reshape(upstream, pixels.shape).transpose(1, 0, 2, 3))
+    grads = [np.empty_like(params.weights) for _ in range(3)]
+    for t, ys, xs in _tap_coords(params):
+        grads[0][:, t], d_dy, d_dx = sample_grid_with_grad(src, ys, xs, up)
+        grads[1][:, t] = params.weights[:, t] * d_dy
+        grads[2][:, t] = params.weights[:, t] * d_dx
+    return tuple(g[0] for g in grads) if single else tuple(grads)
 
-    grad_weights = np.einsum("cij,ctij->tij", upstream, samples)
-    grad_alpha = params.weights * np.einsum("cij,ctij->tij", upstream, ds_dy)
-    grad_beta = params.weights * np.einsum("cij,ctij->tij", upstream, ds_dx)
 
-    # scatter into the input image: 4 corners per tap, one bincount per channel
-    y0, x0, y1, x1, fy, fx = _corner_setup(h, w, ys, xs)
-    idx = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1]).ravel()
-    coeff = np.stack([(1.0 - fy) * (1.0 - fx), (1.0 - fy) * fx,
-                      fy * (1.0 - fx), fy * fx])
-    coeff = coeff * params.weights[None]  # (4, F2, H, W)
-    grad_image = np.empty_like(pixels)
-    for ch in range(c):
-        vals = (coeff * upstream[ch][None, None]).ravel()
-        grad_image[ch] = np.bincount(idx, weights=vals, minlength=h * w).reshape(h, w)
-    return grad_image, grad_weights, grad_alpha, grad_beta
+def backward_warp_image_vjp(params, upstream):
+    """VJP of forward_warp w.r.t. the image, shaped like upstream.
+
+    All taps, corners and channels scatter in one bincount over flat
+    indices offset by (b*C + c)*H*W.
+    """
+    params.validate()
+    up, params, single = _as_batch(upstream, params)
+    b, c, h, w = up.shape
+    offsets = (np.arange(b * c) * (h * w)).reshape(b, c, 1, 1)
+    idx, vals = [], []
+    for t, ys, xs in _tap_coords(params):
+        i00, i01, i10, i11, fy, fx = bilinear_corners(h, w, ys, xs)
+        gy, gx = 1.0 - fy, 1.0 - fx
+        for i, coeff in ((i00, gy * gx), (i01, gy * fx), (i10, fy * gx), (i11, fy * fx)):
+            idx.append((offsets + i[:, None]).ravel())
+            vals.append(((params.weights[:, t] * coeff)[:, None] * up).ravel())
+    grad = np.bincount(np.concatenate(idx), np.concatenate(vals), b * c * h * w)
+    return grad.reshape(up.shape)[0] if single else grad.reshape(up.shape)
 
 
 def occlusion_blend(fwd, bwd, v, enabled=True):
     """Blend the two warped frames with the per-pixel visibility map v.
 
     out = v * fwd + (1 - v) * bwd; with blending disabled the plain average
-    (fwd + bwd) / 2 is returned regardless of v.
+    (fwd + bwd) / 2 is returned regardless of v. Frames are (C, H, W) with
+    an (H, W) map, or (B, C, H, W) with a (B, H, W) map.
     """
-    fwd = _as_pixels(fwd)
-    bwd = _as_pixels(bwd)
+    fwd, bwd = _as_pixels(fwd), _as_pixels(bwd)
     if fwd.shape != bwd.shape:
         raise ValueError(f"shape mismatch: {fwd.shape} vs {bwd.shape}")
     if not enabled:
         return 0.5 * (fwd + bwd)
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != fwd.shape[1:]:
+    if v.shape != fwd.shape[:-3] + fwd.shape[-2:]:
         raise ValueError(f"occlusion map {v.shape} does not match frame {fwd.shape}")
     if v.min() < 0.0 or v.max() > 1.0:
         raise ValueError("occlusion map values must lie in [0, 1]")
-    return v[None] * fwd + (1.0 - v[None]) * bwd
+    v = v[..., None, :, :]
+    return v * fwd + (1.0 - v) * bwd
 
 
 def occlusion_blend_vjp(fwd, bwd, v, upstream, enabled=True):
     """VJP of occlusion_blend; grad_v sums over channels (one shared map)."""
-    fwd = _as_pixels(fwd)
-    bwd = _as_pixels(bwd)
+    fwd, bwd = _as_pixels(fwd), _as_pixels(bwd)
     upstream = np.asarray(upstream, dtype=np.float64)
     if not enabled:
         half = 0.5 * upstream
-        return half, half.copy(), np.zeros(fwd.shape[1:])
-    v = np.asarray(v, dtype=np.float64)
-    grad_fwd = v[None] * upstream
-    grad_bwd = (1.0 - v[None]) * upstream
-    grad_v = ((fwd - bwd) * upstream).sum(axis=0)
+        return half, half.copy(), np.zeros(fwd.shape[:-3] + fwd.shape[-2:])
+    v = np.asarray(v, dtype=np.float64)[..., None, :, :]
+    grad_fwd = v * upstream
+    grad_bwd = (1.0 - v) * upstream
+    grad_v = ((fwd - bwd) * upstream).sum(axis=-3)
     return grad_fwd, grad_bwd, grad_v
 
 
@@ -258,8 +284,8 @@ def make_mode_params(mode, *, weights=None, alpha=None, beta=None, flow=None,
     """Build WarpParams satisfying a mode's structural constraint.
 
     flow_only takes a (2, H, W) flow; sdc takes a flow plus an (F*F, H, W)
-    weight map; shared_weight accepts either an (F*F,) vector or a full map
-    (which is spatially averaged); kernel_only zeroes the offsets.
+    weight map; shared_weight spatially averages the weight map;
+    kernel_only zeroes the offsets.
     """
     if mode is WarpMode.FLOW_ONLY:
         if flow is None:
@@ -282,9 +308,6 @@ def make_mode_params(mode, *, weights=None, alpha=None, beta=None, flow=None,
         raise ValueError(f"{mode.value} mode needs a weight map")
     weights = np.asarray(weights, dtype=np.float64)
     f = kernel_size or int(round(np.sqrt(weights.shape[0])))
-    if mode is WarpMode.SHARED_WEIGHT and weights.ndim == 1:
-        h, w = np.asarray(alpha).shape[1:]
-        weights = np.broadcast_to(weights[:, None, None], (f * f, h, w)).copy()
     if alpha is None:
         alpha = np.zeros_like(weights)
         beta = np.zeros_like(weights)
@@ -314,19 +337,19 @@ def load_acof(path):
         data = f.read()
     if data[:4] != ACOF_MAGIC:
         raise ValueError(f"{path}: not an .acof file")
+    offset = 4 + struct.calcsize("<5I")
+    if len(data) < offset:
+        raise ValueError(f"{path}: {len(data)} bytes, shorter than the {offset}-byte header")
     version, fsize, dil, h, w = struct.unpack_from("<5I", data, 4)
     if version != ACOF_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
     f2 = fsize * fsize
-    counts = [f2 * h * w] * 3 + [h * w]
-    offset = 24
-    arrays = []
-    for n in counts:
-        arrays.append(np.frombuffer(data, dtype="<f4", count=n,
-                                    offset=offset).astype(np.float64))
-        offset += 4 * n
-    weights, alpha, beta, occ = arrays
-    params = WarpParams(weights.reshape(f2, h, w), alpha.reshape(f2, h, w),
-                        beta.reshape(f2, h, w), kernel_size=fsize, dilation=dil)
+    expected = offset + 4 * (3 * f2 + 1) * h * w
+    if len(data) != expected:
+        raise ValueError(f"{path}: header declares F={fsize} at {h}x{w}, "
+                         f"{expected} bytes in all, but the file has {len(data)} bytes")
+    payload = np.frombuffer(data, dtype="<f4", offset=offset).astype(np.float64)
+    weights, alpha, beta = payload[:3 * f2 * h * w].reshape(3, f2, h, w)
+    params = WarpParams(weights, alpha, beta, kernel_size=fsize, dilation=dil)
     params.validate()
-    return params, occ.reshape(h, w)
+    return params, payload[3 * f2 * h * w:].reshape(h, w)

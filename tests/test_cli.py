@@ -120,6 +120,23 @@ def test_ablate_modes(dataset, tmp_path, capsys):
     assert [l.split(",")[0] for l in lines[1:]] == ["kb", "woocc"]
 
 
+@pytest.mark.parametrize("size", [100, None], ids=["truncated", "trailing"])
+def test_warp_rejects_a_dump_of_the_wrong_length(tmp_path, capsys, size):
+    src = tmp_path / "in.ppm"
+    write_ppm(src, Frame(np.zeros((3, 8, 8))))
+    params = tmp_path / "id.acof"
+    save_acof(params, identity_params(8, 8))
+    data = params.read_bytes()
+    assert len(data) == 24 + 4 * 4 * 64
+    params.write_bytes(data[:size] if size else data + b"\0\0")
+    actual = size or len(data) + 2
+    assert main(["warp", "--params", str(params), "--input", str(src),
+                 "--out", str(tmp_path / "o.ppm")]) == 1
+    err = capsys.readouterr().err
+    assert str(params) in err and f"{len(data)} bytes in all" in err
+    assert f"the file has {actual} bytes" in err
+
+
 def test_missing_file_is_reported_as_failure(tmp_path):
     assert main(["warp", "--params", str(tmp_path / "nope.acof"),
                  "--input", str(tmp_path / "nope.ppm"),

@@ -72,22 +72,43 @@ def test_sample_grid_with_grad_finite_difference():
     ys += np.where(ys - np.floor(ys) < 0.15, 0.2, 0.0)
     xs = rng.uniform(0.2, 6.8, size=(3, 3))
     xs += np.where(xs - np.floor(xs) < 0.15, 0.2, 0.0)
-    vals, dy, dx = sample_grid_with_grad(image, ys, xs)
+    upstream = rng.normal(size=(2, 3, 3))
+    vals, dy, dx = sample_grid_with_grad(image, ys, xs, upstream)
+
+    def contracted(y, x):
+        return (sample_grid(image, y, x) * upstream).sum(axis=0)
+
     h = 1e-6
-    fd_y = (sample_grid(image, ys + h, xs) - sample_grid(image, ys - h, xs)) / (2 * h)
-    fd_x = (sample_grid(image, ys, xs + h) - sample_grid(image, ys, xs - h)) / (2 * h)
+    fd_y = (contracted(ys + h, xs) - contracted(ys - h, xs)) / (2 * h)
+    fd_x = (contracted(ys, xs + h) - contracted(ys, xs - h)) / (2 * h)
     np.testing.assert_allclose(dy, fd_y, atol=1e-6)
     np.testing.assert_allclose(dx, fd_x, atol=1e-6)
-    np.testing.assert_allclose(vals, sample_grid(image, ys, xs), atol=0)
+    np.testing.assert_allclose(vals, contracted(ys, xs), atol=1e-12)
 
 
 def test_coordinate_gradient_zero_outside_frame():
     image = np.random.default_rng(4).random((1, 5, 5))
     ys = np.array([-2.5, 6.5, 2.5])
     xs = np.array([2.5, 2.5, -3.0])
-    _, dy, dx = sample_grid_with_grad(image, ys, xs)
-    assert dy[0, 0] == 0.0 and dy[0, 1] == 0.0
-    assert dx[0, 2] == 0.0
+    _, dy, dx = sample_grid_with_grad(image, ys, xs, np.ones((1, 3)))
+    assert dy[0] == 0.0 and dy[1] == 0.0
+    assert dx[2] == 0.0
+
+
+def test_sample_grid_channel_major_batch_matches_per_image():
+    rng = np.random.default_rng(3)
+    images = rng.random((3, 4, 6, 8))  # (C, B, H, W)
+    ys = rng.uniform(-1.0, 7.0, size=(4, 5, 2))
+    xs = rng.uniform(-1.0, 9.0, size=(4, 5, 2))
+    out = sample_grid(images, ys, xs)
+    assert out.shape == (3, 4, 5, 2)
+    upstream = rng.normal(size=out.shape)
+    grads = sample_grid_with_grad(images, ys, xs, upstream)
+    for b in range(4):
+        np.testing.assert_array_equal(out[:, b], sample_grid(images[:, b], ys[b], xs[b]))
+        for got, want in zip(grads, sample_grid_with_grad(images[:, b], ys[b], xs[b],
+                                                          upstream[:, b])):
+            np.testing.assert_array_equal(got[b], want)
 
 
 def test_frame_validation():

@@ -68,9 +68,10 @@ def test_sample_params_validate():
     model = SynthModel(_tiny_config())
     x = np.random.default_rng(3).random((1, 6, 16, 16))
     _, tape = synthesize(model, x, WarpMode.ADACOF, True)
-    pf, pb = tape.params[0]
+    pf, pb = tape.params
     pf.validate()
     pb.validate()
+    assert pf.weights.shape == (1, 9, 16, 16)
     assert tape.occ[0].shape == (16, 16)
 
 
@@ -102,7 +103,8 @@ def test_synthesize_matches_per_pair_composition(name):
     for i in range(3):
         images = (x[i, :3], x[i, 3:])
         params, vjps = [], []
-        for names, taped in zip((HEAD_NAMES[:3], HEAD_NAMES[3:6]), tape.params[i]):
+        for names, taped in zip((HEAD_NAMES[:3], HEAD_NAMES[3:6]),
+                                (p.at(i) for p in tape.params)):
             (w, a, b), vjp = project_mode(wmode, *(getattr(out, n)[i] for n in names))
             assert all(np.array_equal(got, want) for got, want in
                        ((taped.weights, w), (taped.alpha, a), (taped.beta, b)))
@@ -115,7 +117,7 @@ def test_synthesize_matches_per_pair_composition(name):
                                                enabled=occ_on)
         want = []
         for img, p, g, vjp in zip(images, params, g_warped, vjps):
-            want.extend(vjp(*backward_warp_vjp(img, p, g)[1:]))
+            want.extend(vjp(*backward_warp_vjp(img, p, g)))
         for head, g in zip(HEAD_NAMES, want + [g_occ]):
             assert np.array_equal(head_grads[head][i], g), head
 
@@ -162,6 +164,20 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.config.to_dict() == cfg.to_dict()
     for name in model.params:
         assert np.abs(back.params[name] - model.params[name]).max() < 1e-6
+
+
+@pytest.mark.parametrize("cut", [10, 500, -3, None], ids=["header", "tensor", "last", "trailing"])
+def test_checkpoint_of_the_wrong_length_names_file(tmp_path, cut):
+    path = tmp_path / "m.ackp"
+    save_checkpoint(path, SynthModel(_tiny_config()))
+    data = path.read_bytes()
+    path.write_bytes(data[:cut] if cut else data + b"\0")
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    msg = str(exc.value)
+    assert str(path) in msg
+    assert ("1 bytes follow the last tensor" if cut is None else
+            f"checkpoint is cut short: {len(data[:cut])} bytes") in msg
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -57,8 +57,26 @@ def test_header_comments_are_skipped(tmp_path):
 def test_wrong_magic_raises(tmp_path):
     path = tmp_path / "bad.ppm"
     path.write_bytes(b"P3\n1 1\n255\n000")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         read_ppm(path)
+    assert str(path) in str(exc.value) and "not a binary PPM (P6)" in str(exc.value)
+
+
+def test_cut_header_names_file(tmp_path):
+    path = tmp_path / "cut.ppm"
+    path.write_bytes(b"P6\n4")
+    with pytest.raises(ValueError) as exc:
+        read_ppm(path)
+    msg = str(exc.value)
+    assert str(path) in msg and "header is cut short" in msg
+
+
+def test_non_numeric_header_names_file(tmp_path):
+    path = tmp_path / "word.ppm"
+    path.write_bytes(b"P6\n4 x\n255\n")
+    with pytest.raises(ValueError) as exc:
+        read_ppm(path)
+    assert str(path) in str(exc.value) and "malformed" in str(exc.value)
 
 
 def test_truncated_file_names_file_and_sizes(tmp_path):

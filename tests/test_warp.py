@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from adacof.core import Frame, sample_grid
-from adacof.warp import (WarpMode, WarpParams, backward_warp_vjp, forward_warp,
-                         identity_params, load_acof, make_mode_params,
-                         occlusion_blend, occlusion_blend_vjp, project_mode,
-                         save_acof)
+from adacof.gradcheck import block_rel_err, fd_gradient
+from adacof.warp import (WarpMode, WarpParams, backward_warp_image_vjp,
+                         backward_warp_vjp, forward_warp, identity_params,
+                         load_acof, make_mode_params, occlusion_blend,
+                         occlusion_blend_vjp, project_mode, save_acof)
 
 from oracles import (flow_only_oracle, kernel_only_oracle, random_instance,
                      shift_then_kernel_oracle, warp_oracle)
@@ -168,13 +169,119 @@ def test_warp_vjp_matches_directional_derivative():
     image, weights, alpha, beta = random_instance(rng, 5, 3, 1, channels=1)
     params = WarpParams(weights, alpha, beta, 3, 1)
     upstream = rng.normal(size=image.shape)
-    gi, gw, ga, gb = backward_warp_vjp(image, params, upstream)
+    gw, ga, gb = backward_warp_vjp(image, params, upstream)
     h = 1e-6
     da = rng.normal(size=alpha.shape)
     plus = forward_warp(image, WarpParams(weights, alpha + h * da, beta, 3, 1))
     minus = forward_warp(image, WarpParams(weights, alpha - h * da, beta, 3, 1))
     fd = float(((plus - minus) / (2 * h) * upstream).sum())
     assert float((ga * da).sum()) == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+def _single_tap(image, ys, xs):
+    """F=1 instance sampling (C, H, W) image at the maps ys, xs."""
+    h, w = ys.shape
+    i, j = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64),
+                       indexing="ij")
+    return WarpParams(np.ones((1, h, w)), (ys - i)[None], (xs - j)[None], 1, 0)
+
+
+def test_single_tap_offset_gradient_matches_finite_difference():
+    rng = np.random.default_rng(3)
+    image = rng.random((2, 8, 8))
+    # keep coordinates away from the integer kinks
+    ys = rng.uniform(0.2, 6.8, size=(8, 8))
+    ys += np.where(ys - np.floor(ys) < 0.15, 0.2, 0.0)
+    xs = rng.uniform(0.2, 6.8, size=(8, 8))
+    xs += np.where(xs - np.floor(xs) < 0.15, 0.2, 0.0)
+    params = _single_tap(image, ys, xs)
+    upstream = rng.normal(size=image.shape)
+    _, ga, gb = backward_warp_vjp(image, params, upstream)
+    h = 1e-6
+
+    def shifted(dy, dx):
+        return forward_warp(image, _single_tap(image, ys + dy, xs + dx))
+
+    fd_y = ((shifted(h, 0.0) - shifted(-h, 0.0)) / (2 * h) * upstream).sum(axis=0)
+    fd_x = ((shifted(0.0, h) - shifted(0.0, -h)) / (2 * h) * upstream).sum(axis=0)
+    np.testing.assert_allclose(ga[0], fd_y, atol=1e-6)
+    np.testing.assert_allclose(gb[0], fd_x, atol=1e-6)
+
+
+def test_single_tap_offset_gradient_zero_where_clamped():
+    image = np.random.default_rng(4).random((1, 5, 5))
+    ys = np.full((5, 5), 2.5)
+    xs = np.full((5, 5), 2.5)
+    ys[0, 0], ys[0, 1], xs[0, 2] = -2.5, 6.5, -3.0
+    _, ga, gb = backward_warp_vjp(image, _single_tap(image, ys, xs), np.ones((1, 5, 5)))
+    assert ga[0, 0, 0] == 0.0 and ga[0, 0, 1] == 0.0 and gb[0, 0, 2] == 0.0
+    assert ga[0, 2, 2] != 0.0 and gb[0, 2, 2] != 0.0
+
+
+def _mode_sample(rng, mode, size):
+    image, weights, alpha, beta = random_instance(rng, size, 3, 1)
+    flow = rng.uniform(-2.0, 2.0, size=(2, size, size))
+    if mode is WarpMode.FLOW_ONLY:
+        return image, make_mode_params(mode, flow=flow)
+    if mode is WarpMode.SDC:
+        return image, make_mode_params(mode, weights=weights, flow=flow, dilation=1)
+    return image, make_mode_params(mode, weights=weights, alpha=alpha, beta=beta,
+                                   dilation=1)
+
+
+def _stacked(params):
+    """One batched WarpParams from per-sample ones."""
+    return WarpParams(*(np.stack([getattr(p, name) for p in params])
+                        for name in ("weights", "alpha", "beta")),
+                      params[0].kernel_size, params[0].dilation)
+
+
+@pytest.mark.parametrize("mode", list(WarpMode), ids=lambda m: m.value)
+def test_batched_warp_and_vjps_equal_per_sample_calls(mode):
+    rng = np.random.default_rng(16)
+    samples = [_mode_sample(rng, mode, 7) for _ in range(3)]
+    images = np.stack([image for image, _ in samples])
+    params = _stacked([p for _, p in samples])
+    upstream = rng.normal(size=images.shape)
+    out = forward_warp(images, params)
+    grads = backward_warp_vjp(images, params, upstream)
+    grad_image = backward_warp_image_vjp(params, upstream)
+    for i, (image, p) in enumerate(samples):
+        np.testing.assert_array_equal(out[i], forward_warp(image, p))
+        for got, want in zip(grads, backward_warp_vjp(image, p, upstream[i])):
+            np.testing.assert_array_equal(got[i], want)
+        np.testing.assert_array_equal(grad_image[i], backward_warp_image_vjp(p, upstream[i]))
+
+
+def _random_batch(rng, b, size, f, channels=3):
+    """b random_instance samples stacked into (B, C, H, W) images and batched params."""
+    samples = [random_instance(rng, size, f, 1, channels) for _ in range(b)]
+    return (np.stack([s[0] for s in samples]),
+            WarpParams(*(np.stack([s[k] for s in samples]) for k in (1, 2, 3)), f, 1))
+
+
+def test_batched_warp_thread_counts_are_bit_identical():
+    images, params = _random_batch(np.random.default_rng(17), 2, 96, 5)
+    np.testing.assert_array_equal(forward_warp(images, params, threads=2),
+                                  forward_warp(images, params, threads=1))
+
+
+def test_batched_image_vjp_matches_finite_differences():
+    rng = np.random.default_rng(18)
+    images, params = _random_batch(rng, 2, 4, 3, channels=2)
+    upstream = rng.normal(size=images.shape)
+    numeric = fd_gradient(lambda z: float((forward_warp(z, params) * upstream).sum()),
+                          images.copy())
+    assert block_rel_err(backward_warp_image_vjp(params, upstream), numeric) < 1e-4
+
+
+def test_mismatched_batch_is_rejected():
+    _, weights, alpha, beta = random_instance(np.random.default_rng(19), 4, 3, 1)
+    params = WarpParams(weights[None], alpha[None], beta[None], 3, 1)
+    with pytest.raises(ValueError, match="does not match"):
+        forward_warp(np.zeros((2, 3, 4, 4)), params)
+    with pytest.raises(ValueError, match="does not match"):
+        forward_warp(np.zeros((3, 4, 4)), params)
 
 
 def test_occlusion_blend_formula_and_disabled_average():
