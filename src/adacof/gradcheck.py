@@ -19,6 +19,9 @@ from .warp import (WarpMode, WarpParams, _tap_coords, backward_warp_image_vjp,
                    occlusion_blend_vjp)
 
 FD_STEP = 1e-3
+# one or two in a hundred drawn network instances are kink-free; this caps
+# the search at a few seconds
+KINK_FREE_ATTEMPTS = 2048
 
 
 def fd_gradient(f, x, h=FD_STEP):
@@ -102,7 +105,7 @@ def check_network(seed=0, size=8):
     # search for a well-conditioned instance: every sampling coordinate must
     # sit away from the sampler's integer-grid kinks, or central differences
     # with h=1e-3 see the subgradient jump instead of the derivative
-    for attempt in range(64):
+    for attempt in range(KINK_FREE_ATTEMPTS):
         rng = np.random.default_rng((seed, attempt))
         model = SynthModel(cfg)
         # random (not zero-head) parameters so every path carries signal
@@ -118,7 +121,8 @@ def check_network(seed=0, size=8):
         if dist > 2e-3:
             break
     else:
-        raise RuntimeError("could not find a kink-free network instance")
+        raise ValueError(f"seed {seed}: no kink-free network instance "
+                         f"in {KINK_FREE_ATTEMPTS} draws")
 
     def loss_from(params):
         blended, _ = synthesize(SynthModel(cfg, params), x, WarpMode.ADACOF, True)
@@ -146,8 +150,10 @@ def check_losses(seed=0):
     a = rng.random((1, 6, 6))
     b = rng.random((1, 6, 6))
     _, ga = charbonnier_l1(a, b)
+    # step far below epsilon = 1e-3, the scale of phi's curvature: where
+    # |a - b| ~ epsilon, a 1e-4 step's truncation error reaches 1e-3
     worst = max(worst, block_rel_err(
-        ga, fd_gradient(lambda z: charbonnier_l1(z, b)[0], a.copy(), h=1e-4)))
+        ga, fd_gradient(lambda z: charbonnier_l1(z, b)[0], a.copy(), h=1e-6)))
 
     extractor = GradientBankExtractor()
     out = rng.random((3, 8, 8))

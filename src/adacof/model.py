@@ -1,12 +1,13 @@
 """Scaled-down trainable network emitting the warp parameter groups.
 
 An encoder-decoder with skip connections (3x3 conv + ReLU units, average
-pooling down, bilinear interpolation up) feeds seven convolutional heads:
-kernel weights, vertical and horizontal offsets for each warp direction,
-and the occlusion map. Weight heads go through a per-pixel softmax over
-the tap axis, the occlusion head through a sigmoid, offset heads are left
-unconstrained. Heads are zero-initialized so an untrained model emits
-uniform weights, zero offsets, and a 0.5 occlusion map.
+pooling down, bilinear interpolation up) feeds one head convolution whose
+output channels split into seven groups: kernel weights, vertical and
+horizontal offsets for each warp direction, and the occlusion map. Weight
+groups go through a per-pixel softmax over the tap axis, the occlusion
+group through a sigmoid, offset groups are left unconstrained. The head is
+zero-initialized so an untrained model emits uniform weights, zero
+offsets, and a 0.5 occlusion map.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .warp import (WarpParams, backward_warp_vjp, forward_warp, occlusion_blend,
                    occlusion_blend_vjp, project_mode)
 
 CKPT_MAGIC = b"ACKP"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 @dataclass
@@ -46,22 +47,20 @@ class ModelConfig:
             raise ValueError("kernel_size must be >= 1")
 
     @property
-    def taps(self):
-        return self.kernel_size * self.kernel_size
+    def head_sizes(self):
+        """Channels of each head group, in HEAD_NAMES order."""
+        return [1 if name == "occ" else self.kernel_size ** 2 for name in HEAD_NAMES]
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
     @property
     def encoder_channels(self):
         return self.in_channels + (MOTION_FEATURES if self.frontend else 0)
 
 
-HEAD_NAMES = ("weight_f", "alpha_f", "beta_f", "weight_b", "alpha_b", "beta_b", "occ")
+# the head convolution's channel groups, stacked in this (sorted) order
+HEAD_NAMES = ("alpha_b", "alpha_f", "beta_b", "beta_f", "occ", "weight_b", "weight_f")
 
 # channels appended by the motion frontend: temporal difference, two
 # spatial gradients, and the two components of the local least-squares flow
@@ -170,7 +169,8 @@ def synthesize_vjp(tape, upstream):
     vjp_f, vjp_b = tape.mode_vjps
     grads = (*vjp_f(*backward_warp_vjp(tape.x[:, :3], pf, gf)),
              *vjp_b(*backward_warp_vjp(tape.x[:, 3:], pb, gb)), gv)
-    return dict(zip(HEAD_NAMES, grads))
+    return dict(zip(("weight_f", "alpha_f", "beta_f", "weight_b", "alpha_b", "beta_b", "occ"),
+                    grads))
 
 
 class SynthModel:
@@ -195,7 +195,7 @@ class SynthModel:
         if cfg.frontend:
             x = np.concatenate([x, motion_features(x)], axis=1)
         p = self.params
-        tape = {"enc": [], "dec": [], "heads": {}}
+        tape = {"enc": [], "dec": []}
         skips = []
         for i in range(cfg.depth):
             hcur, bw_conv = nn.conv3x3(x if i == 0 else hcur,
@@ -213,18 +213,15 @@ class SynthModel:
             hcur, bw_conv = nn.conv3x3(hcur, p[f"dec{i}.w"], p[f"dec{i}.b"])
             hcur, bw_relu = nn.relu(hcur)
             tape["dec"].append((bw_up, bw_cat, bw_conv, bw_relu))
-        head_out = {}
-        for name in HEAD_NAMES:
-            y, bw_conv = nn.conv3x3(hcur, p[f"head.{name}.w"], p[f"head.{name}.b"])
-            if name.startswith("weight"):
-                y, bw_act = nn.softmax_channels(y)
-            elif name == "occ":
-                y, bw_act = nn.sigmoid(y)
-            else:
-                bw_act = None
-            head_out[name] = y
-            tape["heads"][name] = (bw_conv, bw_act)
-        head_out["occ"] = head_out["occ"][:, 0]
+        y, bw_head = nn.conv3x3(hcur, p["head.w"], p["head.b"])
+        splits = np.cumsum(cfg.head_sizes)[:-1]
+        head_out = dict(zip(HEAD_NAMES, np.split(y, splits, axis=1)))
+        acts = {}
+        for name in ("weight_f", "weight_b"):
+            head_out[name], acts[name] = nn.softmax_channels(head_out[name])
+        occ, acts["occ"] = nn.sigmoid(head_out["occ"])
+        head_out["occ"] = occ[:, 0]
+        tape["head"] = (bw_head, acts)
         return ModelOutputs(**head_out), tape
 
     def backward(self, tape, out_grads):
@@ -237,16 +234,12 @@ class SynthModel:
         """
         cfg = self.config
         grads = dict.fromkeys(self.params)
-        gh = None
-        for name in HEAD_NAMES:
-            g = out_grads[name]
-            bw_conv, bw_act = tape["heads"][name]
-            if name == "occ":
-                g = g[:, None]
-            if bw_act is not None:
-                g = bw_act(g)
-            gx, grads[f"head.{name}.w"], grads[f"head.{name}.b"] = bw_conv(g)
-            gh = gx if gh is None else gh + gx
+        bw_head, acts = tape["head"]
+        g_head = dict(out_grads, occ=out_grads["occ"][:, None])
+        for name, bw_act in acts.items():
+            g_head[name] = bw_act(g_head[name])
+        gh, grads["head.w"], grads["head.b"] = bw_head(
+            np.concatenate([g_head[name] for name in HEAD_NAMES], axis=1))
         skip_grads = [None] * cfg.depth
         for stage, i in zip(reversed(tape["dec"]), range(cfg.depth)):
             bw_up, bw_cat, bw_conv, bw_relu = stage
@@ -263,7 +256,7 @@ class SynthModel:
 
 
 def init_params(config):
-    """He-style fan-in initialization; all head convolutions start at zero."""
+    """He-style fan-in initialization; the head convolution starts at zero."""
     rng = np.random.default_rng(config.seed)
     params = {}
 
@@ -284,9 +277,7 @@ def init_params(config):
     for i in reversed(range(config.depth)):
         conv(f"dec{i}", up + config.widths[i], config.widths[i])
         up = config.widths[i]
-    for name in HEAD_NAMES:
-        cout = 1 if name == "occ" else config.taps
-        conv(f"head.{name}", config.widths[0], cout, zero=True)
+    conv("head", config.widths[0], sum(config.head_sizes), zero=True)
     return params
 
 
@@ -332,7 +323,8 @@ def load_checkpoint(path):
 
     version, blob_len = uints(2)
     if version != CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise ValueError(f"{path}: checkpoint version {version}, "
+                         f"only version {CKPT_VERSION} is supported")
     cfg = json.loads(take(blob_len).decode())
     extra = cfg.pop("extra", None)
     params = {}
@@ -343,4 +335,11 @@ def load_checkpoint(path):
         params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
     if pos != len(data):
         raise ValueError(f"{path}: {len(data) - pos} bytes follow the last tensor")
-    return SynthModel(ModelConfig.from_dict(cfg), params), extra
+    config = ModelConfig(**cfg)
+    want = {name: p.shape for name, p in init_params(config).items()}
+    for name in sorted(want.keys() | params.keys()):
+        got = params[name].shape if name in params else "absent"
+        if got != want.get(name, "absent"):
+            raise ValueError(f"{path}: tensor {name} is {got} in the file but "
+                             f"{want.get(name, 'absent')} in its model config")
+    return SynthModel(config, params), extra

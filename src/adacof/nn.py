@@ -26,13 +26,13 @@ def conv3x3(x, kernel, bias):
         gy_mat = gy.transpose(0, 2, 3, 1).reshape(b * h * w, o)
         gk = (gy_mat.T @ cols_mat).reshape(kernel.shape)
         gb = gy_mat.sum(axis=0)
-        krot = kernel[:, :, ::-1, ::-1]
-        krot_mat = krot.transpose(0, 2, 3, 1).reshape(o * 9, c)
-        gyp = np.pad(gy, ((0, 0), (0, 0), (2, 2), (2, 2)))
-        gyw = sliding_window_view(gyp, (3, 3), axis=(2, 3))
-        gyw_mat = gyw.transpose(0, 2, 3, 1, 4, 5).reshape(b * (h + 2) * (w + 2), o * 9)
-        gxp = (gyw_mat @ krot_mat).reshape(b, h + 2, w + 2, c).transpose(0, 3, 1, 2)
-        return gxp[:, :, 1:h + 1, 1:w + 1], gk, gb
+        # adjoint of the im2col: add each tap's gradient back at its shift
+        gxp = np.zeros((b, h + 2, w + 2, c))
+        for di in range(3):
+            for dj in range(3):
+                tap = gy_mat @ kernel[:, :, di, dj]
+                gxp[:, di:di + h, dj:dj + w] += tap.reshape(b, h, w, c)
+        return gxp[:, 1:h + 1, 1:w + 1].transpose(0, 3, 1, 2), gk, gb
 
     return y, vjp
 

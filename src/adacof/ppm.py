@@ -58,6 +58,9 @@ def read_ppm(path):
     if len(data) - pos < size:
         raise ValueError(f"{path}: header declares {width}x{height} pixels "
                          f"({size} bytes) but only {len(data) - pos} bytes follow it")
+    if len(data) - pos > size:
+        raise ValueError(f"{path}: {len(data) - pos - size} bytes follow the "
+                         f"{width}x{height} pixel data")
     raw = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
     px = raw.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
     return Frame(px)

@@ -85,13 +85,14 @@ def _batch_losses_and_grads(model, batch, wmode, occlusion_enabled, loss_cfg,
                             extractor=None, disc=None):
     """Loss and parameter gradients for one batch of triplets.
 
-    Returns (mean loss, model grads, blended frames) where the frames are
-    used by the adversarial phase.
+    Returns (mean loss, model grads, classifier tapes): in the perception
+    phase, one (c1, tape1, c2, tape2) per triplet for the classifier step.
     """
     x = np.stack([np.concatenate([t.first.pixels, t.last.pixels]) for t in batch])
     frames, tape = synthesize(model, x, wmode, occlusion_enabled)
     g_frames = np.empty_like(frames)
     total = 0.0
+    disc_tapes = []
     for i, (triplet, blended) in enumerate(zip(batch, frames)):
         gt = triplet.middle.pixels
         l1, g_l1 = charbonnier_l1(blended, gt, loss_cfg.epsilon)
@@ -99,6 +100,7 @@ def _batch_losses_and_grads(model, batch, wmode, occlusion_enabled, loss_cfg,
             vgg, g_vgg = perceptual_loss(blended, gt, extractor)
             c1, tape1 = disc.forward(np.concatenate([triplet.first.pixels, blended]))
             c2, tape2 = disc.forward(np.concatenate([blended, triplet.last.pixels]))
+            disc_tapes.append((c1, tape1, c2, tape2))
             adv, d_c1, d_c2 = generator_entropy_loss(c1, c2)
             _, g_in1 = disc.backward(tape1, d_c1)
             _, g_in2 = disc.backward(tape2, d_c2)
@@ -113,22 +115,21 @@ def _batch_losses_and_grads(model, batch, wmode, occlusion_enabled, loss_cfg,
     head_grads = synthesize_vjp(tape, g_frames)
     for g in head_grads.values():
         g /= len(batch)
-    return total / len(batch), model.backward(tape.net, head_grads), frames
+    return total / len(batch), model.backward(tape.net, head_grads), disc_tapes
 
 
-def _discriminator_step(disc, disc_state, batch, blended_frames):
-    """One classifier update on real-first vs generated-first orderings."""
+def _discriminator_step(disc, disc_state, disc_tapes):
+    """One classifier update on real-first vs generated-first orderings,
+    replaying the classifier tapes of the generator step."""
     acc = {name: np.zeros_like(p) for name, p in disc.params.items()}
-    for triplet, blended in zip(batch, blended_frames):
-        c1, tape1 = disc.forward(np.concatenate([triplet.first.pixels, blended]))
-        c2, tape2 = disc.forward(np.concatenate([blended, triplet.last.pixels]))
+    for c1, tape1, c2, tape2 in disc_tapes:
         _, d_c1, d_c2 = discriminator_loss(c1, c2)
         g1, _ = disc.backward(tape1, d_c1)
         g2, _ = disc.backward(tape2, d_c2)
         for name in acc:
             acc[name] += g1[name] + g2[name]
     for name in acc:
-        acc[name] /= len(batch)
+        acc[name] /= len(disc_tapes)
     adamax_step(disc_state, disc.params, acc)
 
 
@@ -203,7 +204,7 @@ def train(config, out_dir, log=None):
                 idx = order[start:start + config.batch]
                 batch = [_augmented(train_set[i], rng, config.crop,
                                     config.augment) for i in idx]
-                loss, grads, blended = _batch_losses_and_grads(
+                loss, grads, disc_tapes = _batch_losses_and_grads(
                     model, batch, wmode, occlusion_enabled, phase_cfg,
                     extractor, disc)
                 if not np.isfinite(loss):
@@ -211,7 +212,7 @@ def train(config, out_dir, log=None):
                                              f"{epoch_index}")
                 adamax_step(state, model.params, grads)
                 if phase == "perception":
-                    _discriminator_step(disc, disc_state, batch, blended)
+                    _discriminator_step(disc, disc_state, disc_tapes)
                 step_losses.append(loss)
             quarters = [float(np.mean(q)) for q in
                         np.array_split(np.asarray(step_losses),

@@ -352,4 +352,8 @@ def load_acof(path):
     weights, alpha, beta = payload[:3 * f2 * h * w].reshape(3, f2, h, w)
     params = WarpParams(weights, alpha, beta, kernel_size=fsize, dilation=dil)
     params.validate()
-    return params, payload[3 * f2 * h * w:].reshape(h, w)
+    occ = payload[3 * f2 * h * w:].reshape(h, w)
+    if not (occ.min() >= 0.0 and occ.max() <= 1.0):  # also rejects NaN
+        raise ValueError(f"{path}: occlusion map spans [{occ.min():g}, {occ.max():g}], "
+                         "outside [0, 1]")
+    return params, occ

@@ -1,5 +1,7 @@
 """Parameter-estimator network tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,24 @@ def test_untrained_model_emits_neutral_parameters():
     np.testing.assert_allclose(out.weight_f, 1.0 / 9.0, atol=1e-12)
     np.testing.assert_allclose(out.alpha_f, 0.0, atol=1e-12)
     np.testing.assert_allclose(out.occ, 0.5, atol=1e-12)
+
+
+def test_head_is_one_convolution_stacked_in_head_names_order():
+    cfg = _tiny_config()
+    model = SynthModel(cfg)
+    assert model.params["head.w"].shape == (6 * 9 + 1, 6, 3, 3)
+    assert sorted(n for n in model.params if n.startswith("head")) == ["head.b", "head.w"]
+    # with a zero head kernel, every output channel is its own bias value
+    bias = np.arange(6 * 9 + 1) / 10.0
+    model.params["head.b"] = bias
+    out, _ = model.forward(np.random.default_rng(9).random((1, 6, 16, 16)))
+    for name, group in zip(HEAD_NAMES, np.split(bias, [9, 18, 27, 36, 37, 46])):
+        if name == "occ":
+            group = 1.0 / (1.0 + np.exp(-group[0]))
+        elif name.startswith("weight"):
+            group = np.exp(group) / np.exp(group).sum()
+        np.testing.assert_allclose(getattr(out, name)[0][..., 5, 3], group, rtol=1e-12,
+                                   err_msg=name)
 
 
 def test_batch_elements_are_independent():
@@ -100,11 +120,11 @@ def test_synthesize_matches_per_pair_composition(name):
     head_grads = synthesize_vjp(tape, upstream)
     out, _ = model.forward(x)
     assert frames.shape == (3, 3, 16, 16)
+    directions = (("weight_f", "alpha_f", "beta_f"), ("weight_b", "alpha_b", "beta_b"))
     for i in range(3):
         images = (x[i, :3], x[i, 3:])
         params, vjps = [], []
-        for names, taped in zip((HEAD_NAMES[:3], HEAD_NAMES[3:6]),
-                                (p.at(i) for p in tape.params)):
+        for names, taped in zip(directions, (p.at(i) for p in tape.params)):
             (w, a, b), vjp = project_mode(wmode, *(getattr(out, n)[i] for n in names))
             assert all(np.array_equal(got, want) for got, want in
                        ((taped.weights, w), (taped.alpha, a), (taped.beta, b)))
@@ -118,7 +138,7 @@ def test_synthesize_matches_per_pair_composition(name):
         want = []
         for img, p, g, vjp in zip(images, params, g_warped, vjps):
             want.extend(vjp(*backward_warp_vjp(img, p, g)))
-        for head, g in zip(HEAD_NAMES, want + [g_occ]):
+        for head, g in zip((*directions[0], *directions[1], "occ"), want + [g_occ]):
             assert np.array_equal(head_grads[head][i], g), head
 
 
@@ -178,6 +198,31 @@ def test_checkpoint_of_the_wrong_length_names_file(tmp_path, cut):
     assert str(path) in msg
     assert ("1 bytes follow the last tensor" if cut is None else
             f"checkpoint is cut short: {len(data[:cut])} bytes") in msg
+
+
+@pytest.mark.parametrize("case", ["version1", "missing", "wrong-shape", "extra"])
+def test_checkpoint_with_the_wrong_tensors_names_file(tmp_path, case):
+    model = SynthModel(_tiny_config())
+    if case == "missing":
+        del model.params["head.b"]
+    elif case == "wrong-shape":
+        model.params["dec0.w"] = np.zeros((8, 14, 3, 3))
+    elif case == "extra":
+        model.params["head.occ.w"] = np.zeros((1, 6, 3, 3))
+    path = tmp_path / "m.ackp"
+    save_checkpoint(path, model)
+    if case == "version1":
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    msg = str(exc.value)
+    assert str(path) in msg
+    assert {"version1": "checkpoint version 1, only version 2 is supported",
+            "missing": "tensor head.b is absent in the file but (55,) in its model config",
+            "wrong-shape": "tensor dec0.w is (8, 14, 3, 3) in the file but (6, 14, 3, 3)",
+            "extra": "tensor head.occ.w is (1, 6, 3, 3) in the file but absent"}[case] in msg
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

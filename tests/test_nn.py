@@ -29,22 +29,24 @@ def test_conv3x3_matches_direct_loop():
 
 
 def test_conv3x3_vjp():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(1, 2, 4, 4))
-    k = rng.normal(size=(3, 2, 3, 3))
-    bias = rng.normal(size=3)
-    y, vjp = nn.conv3x3(x, k, bias)
-    up = rng.normal(size=y.shape)
-    gx, gk, gb = vjp(up)
-    dx = rng.normal(size=x.shape)
-    dk = rng.normal(size=k.shape)
-    assert float((gx * dx).sum()) == pytest.approx(
-        _fd_dot(lambda z: float((nn.conv3x3(z, k, bias)[0] * up).sum()), x, dx),
-        rel=1e-6)
-    assert float((gk * dk).sum()) == pytest.approx(
-        _fd_dot(lambda z: float((nn.conv3x3(x, z, bias)[0] * up).sum()), k, dk),
-        rel=1e-6)
-    assert gb == pytest.approx(up.sum(axis=(0, 2, 3)))
+    # the second input is a batch of non-square frames with C != O
+    for x_shape, out_channels in (((1, 2, 4, 4), 3), ((3, 5, 6, 4), 2)):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=x_shape)
+        k = rng.normal(size=(out_channels, x_shape[1], 3, 3))
+        bias = rng.normal(size=out_channels)
+        y, vjp = nn.conv3x3(x, k, bias)
+        up = rng.normal(size=y.shape)
+        gx, gk, gb = vjp(up)
+        dx = rng.normal(size=x.shape)
+        dk = rng.normal(size=k.shape)
+        assert float((gx * dx).sum()) == pytest.approx(
+            _fd_dot(lambda z: float((nn.conv3x3(z, k, bias)[0] * up).sum()), x, dx),
+            rel=1e-6)
+        assert float((gk * dk).sum()) == pytest.approx(
+            _fd_dot(lambda z: float((nn.conv3x3(x, z, bias)[0] * up).sum()), k, dk),
+            rel=1e-6)
+        assert gb == pytest.approx(up.sum(axis=(0, 2, 3)))
 
 
 def test_relu_forward_and_mask():

@@ -79,6 +79,15 @@ def test_non_numeric_header_names_file(tmp_path):
     assert str(path) in str(exc.value) and "malformed" in str(exc.value)
 
 
+def test_trailing_bytes_name_file_and_count(tmp_path):
+    path = tmp_path / "long.ppm"
+    path.write_bytes(b"P6\n2 2\n255\n" + bytes(12 + 5))
+    with pytest.raises(ValueError) as exc:
+        read_ppm(path)
+    msg = str(exc.value)
+    assert str(path) in msg and "5 bytes follow the 2x2 pixel data" in msg
+
+
 def test_truncated_file_names_file_and_sizes(tmp_path):
     path = tmp_path / "short.ppm"
     path.write_bytes(b"P6\n4 3\n255\n" + bytes(20))
