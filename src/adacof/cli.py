@@ -16,6 +16,7 @@ import numpy as np
 
 from . import gradcheck as gc
 from . import metrics
+from .core import config_from_dict
 from .datagen import load_triplet, read_manifest, write_dataset
 from .flowstats import mean_flow, render_flow, render_occlusion, variance_flow
 from .model import load_checkpoint
@@ -30,18 +31,27 @@ def _err(msg):
     print(msg, file=sys.stderr)
 
 
-def _default_threads(parser):
-    """ADACOF_THREADS, else the core count; a bad value is a usage error."""
-    env = os.environ.get("ADACOF_THREADS")
-    if not env:
-        return os.cpu_count() or 1
+def _thread_count(text):
+    """The one check of a thread count: a positive integer."""
     try:
-        threads = int(env)
+        if int(text) >= 1:
+            return int(text)
     except ValueError:
-        threads = 0
-    if threads < 1:
-        parser.error(f"ADACOF_THREADS must be a positive integer, got {env!r}")
-    return threads
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
+def _sweep_param(text):
+    """sweep --param KEY=V1,V2,...: a TrainConfig field and its integer values."""
+    key, _, values = text.partition("=")
+    key = KEY_ALIASES.get(key, key)
+    try:
+        values = [int(v) for v in values.split(",")]
+        for value in values:
+            config_from_dict(TrainConfig, {key: value}, text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return key, values
 
 
 def cmd_gen_data(args):
@@ -134,11 +144,10 @@ def cmd_ablate(args):
 
 
 def cmd_sweep(args):
-    key, _, values = args.param.partition("=")
-    key = KEY_ALIASES.get(key, key)
+    key, values = args.param
     return _train_variants(args.config, key, [
-        (value, os.path.join(args.out, f"{key}{value}"), {key: int(value)})
-        for value in values.split(",")])
+        (value, os.path.join(args.out, f"{key}{value}"), {key: value})
+        for value in values])
 
 
 def cmd_bench(args):
@@ -146,7 +155,7 @@ def cmd_bench(args):
     rng = np.random.default_rng(args.seed)
     image, params = gc.random_warp_instance(rng, (h, w), args.F, args.d, channels=3)
     print("threads,seconds,megapixel_taps_per_s")
-    for threads in (int(t) for t in args.threads.split(",")):
+    for threads in args.threads:
         forward_warp(image, params, threads=threads)  # warm-up
         reps = max(1, args.reps)
         start = time.perf_counter()
@@ -172,7 +181,10 @@ def cmd_eval(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="adacof")
-    threads = _default_threads(parser)
+    try:  # ADACOF_THREADS, else the core count
+        threads = _thread_count(os.environ.get("ADACOF_THREADS") or os.cpu_count() or 1)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"ADACOF_THREADS {exc}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic triplet dataset")
@@ -194,14 +206,14 @@ def build_parser():
     p.add_argument("--frame1", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-params")
-    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument("--threads", type=_thread_count, default=threads)
     p.set_defaults(func=cmd_interp)
 
     p = sub.add_parser("warp", help="apply a raw parameter dump to an image")
     p.add_argument("--params", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument("--threads", type=_thread_count, default=threads)
     p.set_defaults(func=cmd_warp)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification")
@@ -223,7 +235,8 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="sweep kernel size or dilation")
     p.add_argument("--config", required=True)
-    p.add_argument("--param", required=True, help="e.g. F=1,3,5,7 or d=0,1,2")
+    p.add_argument("--param", required=True, type=_sweep_param,
+                   help="e.g. F=1,3,5,7 or d=0,1,2")
     p.add_argument("--out", default="sweep_out")
     p.set_defaults(func=cmd_sweep)
 
@@ -231,7 +244,8 @@ def build_parser():
     p.add_argument("--size", default="256x256")
     p.add_argument("--F", type=int, default=5)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--threads", default=str(threads))
+    p.add_argument("--threads", default=str(threads),
+                   type=lambda text: [_thread_count(t) for t in text.split(",")])
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

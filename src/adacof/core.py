@@ -14,7 +14,7 @@ cell to the right/below (right-continuous convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,27 @@ import numpy as np
 def check_finite(arr, what="array"):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
+
+
+def config_from_dict(cls, raw, source):
+    """Build dataclass cls from a dict read from outside the program. Each key
+    must name a field, its value of the default's type (an int fits a float,
+    a list of ints a tuple); a failure is a ValueError starting with source."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{source}: expected a JSON object, got {type(raw).__name__}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    for key, value in raw.items():
+        if key not in defaults:
+            raise ValueError(f"{source}: unknown config key {key!r}")
+        want = type(defaults[key])
+        ok = {float: (int, float), tuple: (list, tuple)}.get(want, (want,))
+        if type(value) not in ok or (want is tuple and any(type(v) is not int for v in value)):
+            raise ValueError(f"{source}: config key {key!r} must be {want.__name__}, "
+                             f"got {value!r}")
+    try:
+        return cls(**raw)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 @dataclass(frozen=True)

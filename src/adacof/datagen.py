@@ -46,11 +46,11 @@ class Triplet:
     occlusion: Optional[np.ndarray] = None  # (H, W) visibility truth
 
 
-def smooth_texture(rng, channels, h, w, passes=3):
-    """Band-limited random texture in [0.05, 0.95]."""
+def smooth_texture(rng, channels, h, w):
+    """Band-limited random texture in [0.05, 0.95]: three [1, 2, 1] blurs per axis."""
     tex = rng.random((channels, h, w))
     kernel = np.array([1.0, 2.0, 1.0]) / 4.0
-    for _ in range(passes):
+    for _ in range(3):
         for axis in (1, 2):
             tex = (kernel[0] * np.roll(tex, 1, axis=axis) + kernel[1] * tex
                    + kernel[2] * np.roll(tex, -1, axis=axis))
@@ -150,8 +150,8 @@ def _render_occluder(spec, size, margin, base, rng, grid_y, grid_x):
     return Triplet(frames[0], frames[1], frames[2], flow, occ)
 
 
-def augment(triplet, seed, crop=None, p_flip_h=0.5, p_flip_v=0.5, p_swap=0.5):
-    """Random crop, horizontal/vertical flips, and temporal order swap.
+def augment(triplet, seed, crop=None):
+    """Random crop; horizontal and vertical flips and temporal swap, each with p = 1/2.
 
     Ground truth transforms consistently: flips negate and mirror the
     matching flow component, the swap negates the flow and complements the
@@ -173,15 +173,15 @@ def augment(triplet, seed, crop=None, p_flip_h=0.5, p_flip_v=0.5, p_swap=0.5):
 
     # horizontal then vertical flip: mirror the frames and negate the
     # flow component along the flipped axis
-    for axis, p_flip in ((2, p_flip_h), (1, p_flip_v)):
-        if rng.random() < p_flip:
+    for axis in (2, 1):
+        if rng.random() < 0.5:
             frames = [np.flip(f, axis) for f in frames]
             if flow is not None:
                 flow = np.flip(flow, axis).copy()
                 flow[axis - 1] = -flow[axis - 1]
             if occ is not None:
                 occ = np.flip(occ, axis - 1)
-    if rng.random() < p_swap:
+    if rng.random() < 0.5:
         frames = [frames[2], frames[1], frames[0]]
         if flow is not None:
             flow = -flow

@@ -13,7 +13,7 @@ import numpy as np
 
 from .losses import (Discriminator, GradientBankExtractor, charbonnier_l1,
                      discriminator_loss, generator_entropy_loss, perceptual_loss)
-from .model import ModelConfig, SynthModel, synthesize, synthesize_vjp
+from .model import ModelConfig, SynthModel, synthesize
 from .warp import (WarpMode, WarpParams, _tap_coords, backward_warp_image_vjp,
                    backward_warp_vjp, forward_warp, occlusion_blend,
                    occlusion_blend_vjp)
@@ -41,11 +41,11 @@ def fd_gradient(f, x, h=FD_STEP):
     return g
 
 
-def block_rel_err(analytic, numeric, floor=1e-8):
-    """Max |a - n| normalized by the block's largest FD magnitude."""
+def block_rel_err(analytic, numeric):
+    """Max |a - n| normalized by the block's largest FD magnitude, at least 1e-8."""
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)
-    scale = max(np.abs(numeric).max(), np.abs(analytic).max(), floor)
+    scale = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-8)
     return float(np.abs(analytic - numeric).max() / scale)
 
 
@@ -67,12 +67,12 @@ def random_warp_instance(rng, size=4, f=3, d=1, channels=1):
     return image, WarpParams(weights, alpha, beta, kernel_size=f, dilation=d)
 
 
-def check_adacof(seed=0, instances=3):
-    """FD check of the warp's image and parameter VJPs plus the blend;
-    returns the max error."""
+def check_adacof(seed=0):
+    """FD check of the warp's image and parameter VJPs plus the blend, on
+    three instances; returns the max error."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(3):
         image, params = random_warp_instance(rng)
         upstream = rng.normal(size=image.shape)
 
@@ -99,8 +99,8 @@ def check_adacof(seed=0, instances=3):
     return worst
 
 
-def check_network(seed=0, size=8):
-    """End-to-end FD check through the model, warp, blend, and loss."""
+def check_network(seed=0):
+    """End-to-end FD check through the model, warp, blend, and loss at 8x8."""
     cfg = ModelConfig(kernel_size=2, dilation=1, depth=1, widths=(6,), seed=seed)
     # search for a well-conditioned instance: every sampling coordinate must
     # sit away from the sampler's integer-grid kinks, or central differences
@@ -111,32 +111,27 @@ def check_network(seed=0, size=8):
         # random (not zero-head) parameters so every path carries signal
         for name in model.params:
             model.params[name] = rng.normal(0.0, 0.3, size=model.params[name].shape)
-        first = rng.random((3, size, size))
-        last = rng.random((3, size, size))
-        gt = rng.random((3, size, size))
-        x = np.concatenate([first, last])[None]
-        frames, tape = synthesize(model, x, WarpMode.ADACOF, True)
+        x = rng.random((1, 6, 8, 8))  # first frame, then last
+        gt = rng.random((3, 8, 8))
+        out, net_tape = model.forward(x)
+        frames, params, synth_vjp = synthesize(cfg, out, x, WarpMode.ADACOF, True)
         dist = min(np.abs(coords - np.round(coords)).min()
-                   for p in tape.params for _, *yx in _tap_coords(p) for coords in yx)
+                   for p in params for _, *yx in _tap_coords(p) for coords in yx)
         if dist > 2e-3:
             break
     else:
         raise ValueError(f"seed {seed}: no kink-free network instance "
                          f"in {KINK_FREE_ATTEMPTS} draws")
 
-    def loss_from(params):
-        blended, _ = synthesize(SynthModel(cfg, params), x, WarpMode.ADACOF, True)
-        return charbonnier_l1(blended[0], gt)[0]
-
     _, g_out = charbonnier_l1(frames[0], gt)
-    grads = model.backward(tape.net, synthesize_vjp(tape, g_out[None]))
+    grads = model.backward(net_tape, synth_vjp(g_out[None]))
 
     worst = 0.0
     for name in sorted(model.params):
         def f_param(z, name=name):
-            p = dict(model.params)
-            p[name] = z
-            return loss_from(p)
+            out, _ = SynthModel(cfg, {**model.params, name: z}).forward(x)
+            blended, _, _ = synthesize(cfg, out, x, WarpMode.ADACOF, True)
+            return charbonnier_l1(blended[0], gt)[0]
 
         numeric = fd_gradient(f_param, model.params[name].copy(), h=1e-5)
         worst = max(worst, block_rel_err(grads[name], numeric))
@@ -172,8 +167,8 @@ def check_losses(seed=0):
 
     disc = Discriminator(seed=seed)
     x = rng.random((6, 8, 8))
-    prob, tape = disc.forward(x)
-    _, gx = disc.backward(tape, 1.0)
+    _, vjp = disc.forward(x)
+    _, gx = vjp(1.0)
     numeric = fd_gradient(lambda z: disc.forward(z)[0], x.copy(), h=1e-5)
     worst = max(worst, block_rel_err(gx, numeric))
     return worst

@@ -16,27 +16,26 @@ import numpy as np
 from . import nn
 
 PROB_CLAMP = 1e-6
+EPSILON = 0.001  # Charbonnier smoothing scale
+DISC_WIDTH = 8  # channels of the classifier's two hidden convolutions
 
 
 @dataclass
 class LossConfig:
-    epsilon: float = 0.001
     lambda_1: float = 0.01
     lambda_vgg: float = 1.0
     lambda_adv: float = 0.005
     mode: str = "distortion"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if min(self.lambda_1, self.lambda_vgg, self.lambda_adv) < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.mode not in ("distortion", "perception"):
             raise ValueError(f"unknown loss mode {self.mode!r}")
 
 
-def charbonnier_l1(a, b, epsilon=0.001):
-    """Mean smooth-L1 distance phi(a-b), phi(x) = sqrt(x^2 + eps^2).
+def charbonnier_l1(a, b):
+    """Mean smooth-L1 distance phi(a-b), phi(x) = sqrt(x^2 + EPSILON^2).
 
     Returns (loss, grad_a); grad_b is -grad_a.
     """
@@ -45,7 +44,7 @@ def charbonnier_l1(a, b, epsilon=0.001):
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
-    phi = np.sqrt(diff * diff + epsilon * epsilon)
+    phi = np.sqrt(diff * diff + EPSILON * EPSILON)
     loss = float(phi.mean())
     grad_a = diff / phi / a.size
     return loss, grad_a
@@ -59,10 +58,10 @@ class GradientBankExtractor:
     plays the perceptual-loss role.
     """
 
-    def __init__(self, orientations=8):
+    def __init__(self):
         kx = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64) / 8.0
         ky = kx.T
-        angles = np.arange(orientations) * (2.0 * np.pi / orientations)
+        angles = np.arange(8) * (2.0 * np.pi / 8)
         self.filters = np.stack([np.cos(t) * kx + np.sin(t) * ky for t in angles])
 
     def __call__(self, image):
@@ -132,21 +131,21 @@ class Discriminator:
     divisible by 4.
     """
 
-    def __init__(self, seed=0, width=8):
+    def __init__(self, seed=0):
         rng = np.random.default_rng(seed)
-        self.width = width
-
-        def conv(cin, cout):
-            std = np.sqrt(2.0 / (cin * 9))
-            return rng.normal(0.0, std, size=(cout, cin, 3, 3)), np.zeros(cout)
-
         self.params = {}
-        for name, (cin, cout) in {"c0": (6, width), "c1": (width, width),
-                                  "c2": (width, 1)}.items():
-            self.params[f"{name}.w"], self.params[f"{name}.b"] = conv(cin, cout)
+        for name, (cin, cout) in {"c0": (6, DISC_WIDTH), "c1": (DISC_WIDTH, DISC_WIDTH),
+                                  "c2": (DISC_WIDTH, 1)}.items():
+            std = np.sqrt(2.0 / (cin * 9))
+            self.params[f"{name}.w"] = rng.normal(0.0, std, size=(cout, cin, 3, 3))
+            self.params[f"{name}.b"] = np.zeros(cout)
 
     def forward(self, x):
-        """Returns (probability, tape) for a single (6, H, W) input."""
+        """Returns (probability, vjp) for a single (6, H, W) input.
+
+        vjp(dprob) returns fresh (param_grads, grad_input) on each call;
+        clamped outputs get zero gradient.
+        """
         p = self.params
         h, ops = x[None], []
         for name in ("c0", "c1"):
@@ -157,22 +156,15 @@ class Discriminator:
         h, bw_conv = nn.conv3x3(h, p["c2.w"], p["c2.b"])
         h, bw_mean = nn.global_mean(h)
         prob_raw = 1.0 / (1.0 + math.exp(-float(h[0])))
-        prob = clamp_prob(prob_raw)
-        tape = (ops, bw_conv, bw_mean, prob_raw)
-        return prob, tape
 
-    def backward(self, tape, dprob):
-        """Returns (param_grads, grad_input). Clamped outputs get zero grad."""
-        ops, bw_conv, bw_mean, prob_raw = tape
-        grads = {}
-        if not (PROB_CLAMP < prob_raw < 1.0 - PROB_CLAMP):
-            dprob = 0.0
-        g = np.array([dprob * prob_raw * (1.0 - prob_raw)])
-        g = bw_mean(g)
-        g, gk, gb = bw_conv(g)
-        grads["c2.w"], grads["c2.b"] = gk, gb
-        for name, bw_c, bw_r, bw_p in reversed(ops):
-            g = bw_r(bw_p(g))
-            g, gk, gb = bw_c(g)
-            grads[f"{name}.w"], grads[f"{name}.b"] = gk, gb
-        return grads, g[0]
+        def vjp(dprob):
+            if not (PROB_CLAMP < prob_raw < 1.0 - PROB_CLAMP):
+                dprob = 0.0
+            grads = {}
+            g = bw_mean(np.array([dprob * prob_raw * (1.0 - prob_raw)]))
+            g, grads["c2.w"], grads["c2.b"] = bw_conv(g)
+            for name, bw_c, bw_r, bw_p in reversed(ops):
+                g, grads[f"{name}.w"], grads[f"{name}.b"] = bw_c(bw_r(bw_p(g)))
+            return grads, g[0]
+
+        return clamp_prob(prob_raw), vjp

@@ -20,6 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn
+from .core import config_from_dict
 from .warp import (WarpParams, backward_warp_vjp, forward_warp, occlusion_blend,
                    occlusion_blend_vjp, project_mode)
 
@@ -65,6 +66,7 @@ HEAD_NAMES = ("alpha_b", "alpha_f", "beta_b", "beta_f", "occ", "weight_b", "weig
 # channels appended by the motion frontend: temporal difference, two
 # spatial gradients, and the two components of the local least-squares flow
 MOTION_FEATURES = 5
+MAX_FLOW = 3.0  # bound on the least-squares flow feature, in pixels
 
 
 def _box5(img):
@@ -73,12 +75,12 @@ def _box5(img):
     return sliding_window_view(padded, (5, 5), axis=(1, 2)).sum(axis=(3, 4))
 
 
-def motion_features(x, max_flow=3.0):
+def motion_features(x):
     """Fixed motion descriptors for a (B, 6, H, W) frame-pair batch.
 
     Produces the grayscale temporal difference, the spatial gradients of
     the mean frame, and a windowed least-squares brightness-constancy flow
-    estimate (clipped to +-max_flow). These are deterministic functions of
+    estimate (clipped to +-MAX_FLOW pixels). These are deterministic functions of
     the input, so no gradient flows through them; they give the encoder a
     direct view of local motion instead of leaving it to discover
     correlation features from raw pixels.
@@ -98,8 +100,8 @@ def motion_features(x, max_flow=3.0):
     det = (syy + reg) * (sxx + reg) - sxy * sxy
     fy = (-(sxx + reg) * syt + sxy * sxt) / det
     fx = (sxy * syt - (syy + reg) * sxt) / det
-    fy = np.clip(fy, -max_flow, max_flow)
-    fx = np.clip(fx, -max_flow, max_flow)
+    fy = np.clip(fy, -MAX_FLOW, MAX_FLOW)
+    fx = np.clip(fx, -MAX_FLOW, MAX_FLOW)
     return np.stack([it, iy, ix, fy, fx], axis=1)
 
 
@@ -116,61 +118,31 @@ class ModelOutputs:
     occ: np.ndarray       # (B, H, W), sigmoid output
 
 
-@dataclass
-class SynthTape:
-    """What synthesize_vjp replays; every array keeps the batch axis."""
+def synthesize(config, out, x, wmode, occlusion_enabled, threads=1):
+    """Middle frames of a (B, 6, H, W) batch x from out, its ModelOutputs.
 
-    net: dict             # SynthModel.forward tape, None if not kept
-    x: np.ndarray         # (B, 6, H, W) network input, first frames then last
-    params: tuple         # (forward, backward) batched WarpParams after project_mode
-    warped: tuple         # (forward, backward) warped frames, each (B, 3, H, W)
-    occ: np.ndarray       # (B, H, W) visibility maps
-    mode_vjps: tuple      # project_mode VJPs, forward then backward direction
-    occlusion_enabled: bool
-
-
-def synthesize(model, x, wmode, occlusion_enabled, threads=1, *,
-               keep_net_tape=True):
-    """Interpolate the middle frame of each pair in a (B, 6, H, W) batch.
-
-    Runs the network, projects the raw parameter maps onto the warp mode,
-    warps the first frames forward and the last frames backward (one
-    batched forward_warp per direction) and blends them with the
-    visibility maps. Returns the (B, 3, H, W) frames and the SynthTape
-    that synthesize_vjp replays. Inference passes keep_net_tape=False to
-    free the network tape (about 0.5 GB of im2col buffers at 256x256)
-    before the warps; SynthModel.backward needs it.
+    Projects the maps onto the warp mode, warps the first frames forward and
+    the last backward (one batched forward_warp each) and blends with out.occ.
+    Returns the (B, 3, H, W) frames, the (forward, backward) WarpParams, and
+    a vjp from frame gradients to the head gradients SynthModel.backward takes.
     """
-    cfg = model.config
-    out, net_tape = model.forward(x)
-    if not keep_net_tape:
-        net_tape = None
     (wf, af, bf), vjp_f = project_mode(wmode, out.weight_f, out.alpha_f, out.beta_f)
     (wb, ab, bb), vjp_b = project_mode(wmode, out.weight_b, out.alpha_b, out.beta_b)
-    pf = WarpParams(wf, af, bf, cfg.kernel_size, cfg.dilation)
-    pb = WarpParams(wb, ab, bb, cfg.kernel_size, cfg.dilation)
+    pf = WarpParams(wf, af, bf, config.kernel_size, config.dilation)
+    pb = WarpParams(wb, ab, bb, config.kernel_size, config.dilation)
     fwd = forward_warp(x[:, :3], pf, threads=threads)
     bwd = forward_warp(x[:, 3:], pb, threads=threads)
     frames = occlusion_blend(fwd, bwd, out.occ, enabled=occlusion_enabled)
-    tape = SynthTape(net_tape, x, (pf, pb), (fwd, bwd), out.occ, (vjp_f, vjp_b),
-                     occlusion_enabled)
-    return frames, tape
 
+    def vjp(upstream):
+        gf, gb, gv = occlusion_blend_vjp(fwd, bwd, out.occ, upstream,
+                                         enabled=occlusion_enabled)
+        grads = (*vjp_f(*backward_warp_vjp(x[:, :3], pf, gf)),
+                 *vjp_b(*backward_warp_vjp(x[:, 3:], pb, gb)), gv)
+        return dict(zip(("weight_f", "alpha_f", "beta_f", "weight_b", "alpha_b", "beta_b",
+                         "occ"), grads))
 
-def synthesize_vjp(tape, upstream):
-    """VJP of synthesize from (B, 3, H, W) frame gradients to the heads.
-
-    Returns the gradients on the constrained head outputs, keyed by head
-    name, in the form SynthModel.backward takes.
-    """
-    pf, pb = tape.params
-    gf, gb, gv = occlusion_blend_vjp(*tape.warped, tape.occ, upstream,
-                                     enabled=tape.occlusion_enabled)
-    vjp_f, vjp_b = tape.mode_vjps
-    grads = (*vjp_f(*backward_warp_vjp(tape.x[:, :3], pf, gf)),
-             *vjp_b(*backward_warp_vjp(tape.x[:, 3:], pb, gb)), gv)
-    return dict(zip(("weight_f", "alpha_f", "beta_f", "weight_b", "alpha_b", "beta_b", "occ"),
-                    grads))
+    return frames, (pf, pb), vjp
 
 
 class SynthModel:
@@ -229,7 +201,7 @@ class SynthModel:
 
         out_grads maps every head name to the upstream gradient on its
         constrained output (occ gradient shaped (B, H, W)), as
-        synthesize_vjp returns them. Returns a dict of parameter gradients
+        synthesize's vjp returns them. Returns a dict of parameter gradients
         congruent with self.params.
         """
         cfg = self.config
@@ -335,7 +307,7 @@ def load_checkpoint(path):
         params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
     if pos != len(data):
         raise ValueError(f"{path}: {len(data) - pos} bytes follow the last tensor")
-    config = ModelConfig(**cfg)
+    config = config_from_dict(ModelConfig, cfg, path)
     want = {name: p.shape for name, p in init_params(config).items()}
     for name in sorted(want.keys() | params.keys()):
         got = params[name].shape if name in params else "absent"

@@ -2,8 +2,8 @@
 
 Every primitive takes (B, C, H, W) arrays and returns (output, vjp); the
 vjp maps an upstream gradient back to input (and parameter) gradients.
-The model composes these closures into a tape, so no framework semantics
-are assumed anywhere.
+SynthModel.backward replays them from a tape; model.synthesize and the
+classifier's forward compose them into vjp closures of their own.
 """
 
 from __future__ import annotations

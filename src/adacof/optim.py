@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 U_FLOOR = 1e-8
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # infinity-norm decay
 
 
 @dataclass
@@ -18,8 +20,6 @@ class AdaMaxState:
     m: dict = field(default_factory=dict)
     u: dict = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
     lr: float = 0.001
 
 
@@ -31,7 +31,7 @@ def adamax_step(state, params, grads):
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name!r}")
     state.t += 1
-    scale = state.lr / (1.0 - state.beta1 ** state.t)
+    scale = state.lr / (1.0 - BETA1 ** state.t)
     for name, g in grads.items():
         m = state.m.get(name)
         if m is None:
@@ -39,9 +39,9 @@ def adamax_step(state, params, grads):
             state.m[name] = m
             state.u[name] = np.zeros_like(g)
         u = state.u[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        np.maximum(state.beta2 * u, np.abs(g), out=u)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        np.maximum(BETA2 * u, np.abs(g), out=u)
         params[name] = params[name] - scale * m / np.maximum(u, U_FLOOR)
 
 

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
+from .core import config_from_dict
 from .datagen import augment, load_triplet, read_manifest
 from .losses import (Discriminator, GradientBankExtractor, LossConfig,
                      charbonnier_l1, discriminator_loss, generator_entropy_loss,
                      perceptual_loss)
-from .model import (ModelConfig, SynthModel, save_checkpoint, synthesize,
-                    synthesize_vjp)
+from .model import ModelConfig, SynthModel, save_checkpoint, synthesize
 from .optim import AdaMaxState, Schedule, adamax_step
 # unused here: perfbench's tracer test reads this module's forward_warp binding
 from .warp import WarpMode, forward_warp  # noqa: F401
@@ -47,14 +47,18 @@ class TrainConfig:
     crop: int = 0                     # 0 = full frame
     augment: bool = True
 
+    def __post_init__(self):
+        self.widths = tuple(self.widths)
+        if self.mode not in ("distortion", "perception"):
+            raise ValueError(f"mode must be 'distortion' or 'perception', got {self.mode!r}")
+
     @classmethod
     def from_json(cls, path):
         with open(path) as f:
             raw = json.load(f)
-        kwargs = {KEY_ALIASES.get(k, k): v for k, v in raw.items()}
-        if "widths" in kwargs:
-            kwargs["widths"] = tuple(kwargs["widths"])
-        return cls(**kwargs)
+        if isinstance(raw, dict):
+            raw = {KEY_ALIASES.get(k, k): v for k, v in raw.items()}
+        return config_from_dict(cls, raw, path)
 
     def resolve(self):
         """Warp mode implications: flow-only trains with F=1, d=0;
@@ -75,35 +79,36 @@ def infer(model, first, last, warp_mode=WarpMode.ADACOF, occlusion_enabled=True,
     """Full interpolation pass; returns (output, params_fwd, params_bwd, v)."""
     x = np.concatenate([np.asarray(first, dtype=np.float64),
                         np.asarray(last, dtype=np.float64)])[None]
-    frames, tape = synthesize(model, x, warp_mode, occlusion_enabled, threads,
-                              keep_net_tape=False)
-    pf, pb = tape.params
-    return frames[0], pf.at(0), pb.at(0), tape.occ[0]
+    out = model.forward(x)[0]  # drops the network tape before the warps
+    frames, (pf, pb), _ = synthesize(model.config, out, x, warp_mode, occlusion_enabled,
+                                     threads)
+    return frames[0], pf.at(0), pb.at(0), out.occ[0]
 
 
 def _batch_losses_and_grads(model, batch, wmode, occlusion_enabled, loss_cfg,
                             extractor=None, disc=None):
     """Loss and parameter gradients for one batch of triplets.
 
-    Returns (mean loss, model grads, classifier tapes): in the perception
-    phase, one (c1, tape1, c2, tape2) per triplet for the classifier step.
+    Returns (mean loss, model grads, classifier vjps): in the perception
+    phase, one (c1, vjp1, c2, vjp2) per triplet for the classifier step.
     """
     x = np.stack([np.concatenate([t.first.pixels, t.last.pixels]) for t in batch])
-    frames, tape = synthesize(model, x, wmode, occlusion_enabled)
+    out, net_tape = model.forward(x)
+    frames, _, synth_vjp = synthesize(model.config, out, x, wmode, occlusion_enabled)
     g_frames = np.empty_like(frames)
     total = 0.0
-    disc_tapes = []
+    disc_vjps = []
     for i, (triplet, blended) in enumerate(zip(batch, frames)):
         gt = triplet.middle.pixels
-        l1, g_l1 = charbonnier_l1(blended, gt, loss_cfg.epsilon)
+        l1, g_l1 = charbonnier_l1(blended, gt)
         if loss_cfg.mode == "perception":
             vgg, g_vgg = perceptual_loss(blended, gt, extractor)
-            c1, tape1 = disc.forward(np.concatenate([triplet.first.pixels, blended]))
-            c2, tape2 = disc.forward(np.concatenate([blended, triplet.last.pixels]))
-            disc_tapes.append((c1, tape1, c2, tape2))
+            c1, vjp1 = disc.forward(np.concatenate([triplet.first.pixels, blended]))
+            c2, vjp2 = disc.forward(np.concatenate([blended, triplet.last.pixels]))
+            disc_vjps.append((c1, vjp1, c2, vjp2))
             adv, d_c1, d_c2 = generator_entropy_loss(c1, c2)
-            _, g_in1 = disc.backward(tape1, d_c1)
-            _, g_in2 = disc.backward(tape2, d_c2)
+            _, g_in1 = vjp1(d_c1)
+            _, g_in2 = vjp2(d_c2)
             g_adv = g_in1[3:] + g_in2[:3]
             loss = (loss_cfg.lambda_1 * l1 + loss_cfg.lambda_vgg * vgg
                     + loss_cfg.lambda_adv * adv)
@@ -112,24 +117,24 @@ def _batch_losses_and_grads(model, batch, wmode, occlusion_enabled, loss_cfg,
         else:
             loss, g_frames[i] = l1, g_l1
         total += loss
-    head_grads = synthesize_vjp(tape, g_frames)
+    head_grads = synth_vjp(g_frames)
     for g in head_grads.values():
         g /= len(batch)
-    return total / len(batch), model.backward(tape.net, head_grads), disc_tapes
+    return total / len(batch), model.backward(net_tape, head_grads), disc_vjps
 
 
-def _discriminator_step(disc, disc_state, disc_tapes):
+def _discriminator_step(disc, disc_state, disc_vjps):
     """One classifier update on real-first vs generated-first orderings,
-    replaying the classifier tapes of the generator step."""
+    through the classifier vjps of the generator step."""
     acc = {name: np.zeros_like(p) for name, p in disc.params.items()}
-    for c1, tape1, c2, tape2 in disc_tapes:
+    for c1, vjp1, c2, vjp2 in disc_vjps:
         _, d_c1, d_c2 = discriminator_loss(c1, c2)
-        g1, _ = disc.backward(tape1, d_c1)
-        g2, _ = disc.backward(tape2, d_c2)
+        g1, _ = vjp1(d_c1)
+        g2, _ = vjp2(d_c2)
         for name in acc:
             acc[name] += g1[name] + g2[name]
     for name in acc:
-        acc[name] /= len(disc_tapes)
+        acc[name] /= len(disc_vjps)
     adamax_step(disc_state, disc.params, acc)
 
 
@@ -204,7 +209,7 @@ def train(config, out_dir, log=None):
                 idx = order[start:start + config.batch]
                 batch = [_augmented(train_set[i], rng, config.crop,
                                     config.augment) for i in idx]
-                loss, grads, disc_tapes = _batch_losses_and_grads(
+                loss, grads, disc_vjps = _batch_losses_and_grads(
                     model, batch, wmode, occlusion_enabled, phase_cfg,
                     extractor, disc)
                 if not np.isfinite(loss):
@@ -212,7 +217,7 @@ def train(config, out_dir, log=None):
                                              f"{epoch_index}")
                 adamax_step(state, model.params, grads)
                 if phase == "perception":
-                    _discriminator_step(disc, disc_state, disc_tapes)
+                    _discriminator_step(disc, disc_state, disc_vjps)
                 step_losses.append(loss)
             quarters = [float(np.mean(q)) for q in
                         np.array_split(np.asarray(step_losses),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -198,6 +199,66 @@ def test_train_rejects_fewer_triplets_than_batch(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(data) in err and "2 train triplets" in err and "batch 4" in err
     assert not (tmp_path / "run").exists()
+
+
+def _rewrite_config_block(src, dst, **changes):
+    """Copy a checkpoint with its JSON config block updated."""
+    with open(src, "rb") as f:
+        data = f.read()
+    (n,) = struct.unpack("<I", data[8:12])
+    blob = json.dumps({**json.loads(data[12:12 + n]), **changes}).encode()
+    dst.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + n:])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"colour": 1}, "unknown config key 'colour'"),
+    ({"depth": "2"}, "config key 'depth' must be int, got '2'"),
+], ids=["unknown-key", "wrong-type"])
+def test_checkpoint_config_block_names_the_bad_key(dataset, trained, tmp_path, capsys,
+                                                   change, message):
+    ckpt = tmp_path / "bad.ackp"
+    _rewrite_config_block(os.path.join(trained, "ckpt_final.ackp"), ckpt, **change)
+    assert main(["eval", "--ckpt", str(ckpt), "--data", dataset]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {ckpt}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"colour": 1}, "unknown config key 'colour'"),
+    ({"mode": "perceptoin", "adv_epochs": 1},
+     "mode must be 'distortion' or 'perception', got 'perceptoin'"),
+], ids=["unknown-key", "misspelt-mode"])
+def test_training_config_names_the_bad_key(dataset, tmp_path, capsys, change, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset_dir": dataset, "F": 3, "depth": 1,
+                               "widths": [4], "batch": 2, "epochs": 1, **change}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_param_names_the_bad_key(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(tmp_path / "cfg.json"), "--param", "nosuch=1"])
+    assert exc.value.code == 2
+    assert "argument --param: nosuch=1: unknown config key 'nosuch'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["interp", "--ckpt", "c", "--frame0", "a", "--frame1", "b", "--out", "o",
+      "--threads", "0"], "0"),
+    (["warp", "--params", "p", "--input", "i", "--out", "o", "--threads", "-3"], "-3"),
+    (["bench", "--threads", "0"], "0"),
+    (["bench", "--threads", "1,-3"], "-3"),
+], ids=["interp", "warp", "bench", "bench-list"])
+def test_bad_thread_count_is_a_usage_error(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --threads: must be a positive integer, got {value!r}" in captured.err
 
 
 def test_usage_error_exit_code():

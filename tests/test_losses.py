@@ -81,8 +81,6 @@ def test_perceptual_loss_with_bank_detects_structure_difference():
 
 def test_loss_config_validation():
     with pytest.raises(ValueError):
-        LossConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
         LossConfig(lambda_adv=-1.0)
     with pytest.raises(ValueError):
         LossConfig(mode="other")
@@ -92,9 +90,14 @@ def test_discriminator_output_and_gradients():
     disc = Discriminator(seed=0)
     rng = np.random.default_rng(5)
     x = rng.random((6, 8, 8))
-    prob, tape = disc.forward(x)
+    prob, vjp = disc.forward(x)
     assert 0.0 < prob < 1.0
-    grads, gx = disc.backward(tape, 1.0)
+    grads, gx = vjp(1.0)
     assert set(grads) == set(disc.params)
     assert gx.shape == x.shape
     assert any(np.abs(g).max() > 0.0 for g in grads.values())
+    # the perception phase calls each vjp twice: each call builds new arrays
+    again, gx_again = vjp(1.0)
+    assert again is not grads and again["c0.w"] is not grads["c0.w"]
+    assert all(np.array_equal(again[n], grads[n]) for n in grads)
+    assert np.array_equal(gx_again, gx)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from adacof.model import (HEAD_NAMES, ModelConfig, SynthModel, load_checkpoint,
-                          motion_features, save_checkpoint, synthesize,
-                          synthesize_vjp)
+                          motion_features, save_checkpoint, synthesize)
 from adacof.warp import (WarpMode, WarpParams, backward_warp_vjp, forward_warp,
                          occlusion_blend, occlusion_blend_vjp, project_mode)
 
@@ -87,12 +86,10 @@ def test_input_validation():
 def test_sample_params_validate():
     model = SynthModel(_tiny_config())
     x = np.random.default_rng(3).random((1, 6, 16, 16))
-    _, tape = synthesize(model, x, WarpMode.ADACOF, True)
-    pf, pb = tape.params
+    _, (pf, pb), _ = synthesize(model.config, model.forward(x)[0], x, WarpMode.ADACOF, True)
     pf.validate()
     pb.validate()
     assert pf.weights.shape == (1, 9, 16, 16)
-    assert tape.occ[0].shape == (16, 16)
 
 
 def _random_model(seed):
@@ -111,23 +108,23 @@ MODES = {"adacof": (WarpMode.ADACOF, True), "fb": (WarpMode.FLOW_ONLY, True),
 
 @pytest.mark.parametrize("name", sorted(MODES))
 def test_synthesize_matches_per_pair_composition(name):
-    """Frames, taped params and head gradients equal the per-pair
+    """Frames, warp params and head gradients equal the per-pair
     project_mode -> forward_warp x2 -> occlusion_blend composition."""
     wmode, occ_on = MODES[name]
     model, x = _random_model(6)
-    frames, tape = synthesize(model, x, wmode, occ_on)
-    upstream = np.random.default_rng(8).normal(size=frames.shape)
-    head_grads = synthesize_vjp(tape, upstream)
     out, _ = model.forward(x)
+    frames, synth_params, synth_vjp = synthesize(model.config, out, x, wmode, occ_on)
+    upstream = np.random.default_rng(8).normal(size=frames.shape)
+    head_grads = synth_vjp(upstream)
     assert frames.shape == (3, 3, 16, 16)
     directions = (("weight_f", "alpha_f", "beta_f"), ("weight_b", "alpha_b", "beta_b"))
     for i in range(3):
         images = (x[i, :3], x[i, 3:])
         params, vjps = [], []
-        for names, taped in zip(directions, (p.at(i) for p in tape.params)):
+        for names, got_p in zip(directions, (p.at(i) for p in synth_params)):
             (w, a, b), vjp = project_mode(wmode, *(getattr(out, n)[i] for n in names))
             assert all(np.array_equal(got, want) for got, want in
-                       ((taped.weights, w), (taped.alpha, a), (taped.beta, b)))
+                       ((got_p.weights, w), (got_p.alpha, a), (got_p.beta, b)))
             params.append(WarpParams(w, a, b, 3, 1))
             vjps.append(vjp)
         warped = [forward_warp(img, p) for img, p in zip(images, params)]
@@ -144,9 +141,39 @@ def test_synthesize_matches_per_pair_composition(name):
 
 def test_synthesize_threads_are_bit_identical():
     model, x = _random_model(7)
-    serial, _ = synthesize(model, x, WarpMode.ADACOF, True, threads=1)
-    threaded, _ = synthesize(model, x, WarpMode.ADACOF, True, threads=2)
+    out, _ = model.forward(x)
+    serial, _, _ = synthesize(model.config, out, x, WarpMode.ADACOF, True, threads=1)
+    threaded, _, _ = synthesize(model.config, out, x, WarpMode.ADACOF, True, threads=2)
     assert np.array_equal(serial, threaded)
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_network_vjp_matches_directional_differences(depth):
+    """<grad, v> against a central difference along a random direction v,
+    for every tensor, at depths whose backward pass pairs skip gradients
+    across levels. The loss sum <U, head output> has no warp, so no
+    sampler kinks."""
+    cfg = _tiny_config(depth=depth, widths=(4, 6, 8)[:depth])
+    model = SynthModel(cfg)
+    rng = np.random.default_rng(depth)
+    for name in model.params:
+        model.params[name] = rng.normal(0, 0.3, size=model.params[name].shape)
+    x = rng.random((1, 6, 8, 8))
+    out, tape = model.forward(x)
+    upstream = {name: rng.normal(size=getattr(out, name).shape) for name in HEAD_NAMES}
+
+    def loss(params):
+        o, _ = SynthModel(cfg, params).forward(x)
+        return sum(float((getattr(o, name) * upstream[name]).sum()) for name in HEAD_NAMES)
+
+    grads = model.backward(tape, upstream)
+    h = 1e-5
+    for name, p in sorted(model.params.items()):
+        v = rng.normal(size=p.shape)
+        numeric = (loss({**model.params, name: p + h * v})
+                   - loss({**model.params, name: p - h * v})) / (2 * h)
+        analytic = float((grads[name] * v).sum())
+        assert abs(numeric - analytic) < 1e-5 * max(abs(numeric), abs(analytic)), name
 
 
 def test_motion_features_recover_translation_direction():
