@@ -31,14 +31,24 @@ def _err(msg):
     print(msg, file=sys.stderr)
 
 
-def _thread_count(text):
-    """The one check of a thread count: a positive integer."""
+def _positive_int(text):
+    """The one check of a thread count or of bench --F: a positive integer."""
     try:
         if int(text) >= 1:
             return int(text)
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
+def _frame_size(text):
+    """bench --size HxW: two positive integers."""
+    try:
+        h, w = map(_positive_int, text.split("x"))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"must be HxW with positive integers, got {text!r}") from None
+    return h, w
 
 
 def _sweep_param(text):
@@ -80,6 +90,10 @@ def cmd_interp(args):
     model, wmode, occ_on = _load_model(args.ckpt)
     frame0 = read_ppm(args.frame0)
     frame1 = read_ppm(args.frame1)
+    if frame0.shape != frame1.shape:
+        (h0, w0), (h1, w1) = frame0.shape[1:], frame1.shape[1:]
+        raise ValueError(f"frames differ in size: {args.frame0} is {h0}x{w0}, "
+                         f"{args.frame1} is {h1}x{w1}")
     blended, pf, pb, v = infer(model, frame0.pixels, frame1.pixels, wmode,
                                occ_on, threads=args.threads)
     write_ppm(args.out, blended)
@@ -151,7 +165,7 @@ def cmd_sweep(args):
 
 
 def cmd_bench(args):
-    h, w = (int(n) for n in args.size.split("x"))
+    h, w = args.size
     rng = np.random.default_rng(args.seed)
     image, params = gc.random_warp_instance(rng, (h, w), args.F, args.d, channels=3)
     print("threads,seconds,megapixel_taps_per_s")
@@ -182,7 +196,7 @@ def cmd_eval(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="adacof")
     try:  # ADACOF_THREADS, else the core count
-        threads = _thread_count(os.environ.get("ADACOF_THREADS") or os.cpu_count() or 1)
+        threads = _positive_int(os.environ.get("ADACOF_THREADS") or os.cpu_count() or 1)
     except argparse.ArgumentTypeError as exc:
         parser.error(f"ADACOF_THREADS {exc}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -206,14 +220,14 @@ def build_parser():
     p.add_argument("--frame1", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-params")
-    p.add_argument("--threads", type=_thread_count, default=threads)
+    p.add_argument("--threads", type=_positive_int, default=threads)
     p.set_defaults(func=cmd_interp)
 
     p = sub.add_parser("warp", help="apply a raw parameter dump to an image")
     p.add_argument("--params", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=_thread_count, default=threads)
+    p.add_argument("--threads", type=_positive_int, default=threads)
     p.set_defaults(func=cmd_warp)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification")
@@ -241,11 +255,11 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="warp throughput report")
-    p.add_argument("--size", default="256x256")
-    p.add_argument("--F", type=int, default=5)
+    p.add_argument("--size", default="256x256", type=_frame_size)
+    p.add_argument("--F", type=_positive_int, default=5)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--threads", default=str(threads),
-                   type=lambda text: [_thread_count(t) for t in text.split(",")])
+                   type=lambda text: [_positive_int(t) for t in text.split(",")])
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

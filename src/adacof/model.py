@@ -297,8 +297,11 @@ def load_checkpoint(path):
     if version != CKPT_VERSION:
         raise ValueError(f"{path}: checkpoint version {version}, "
                          f"only version {CKPT_VERSION} is supported")
-    cfg = json.loads(take(blob_len).decode())
-    extra = cfg.pop("extra", None)
+    try:
+        cfg = json.loads(take(blob_len).decode())
+    except ValueError as exc:
+        raise ValueError(f"{path}: config block is not valid JSON: {exc}") from None
+    extra = cfg.pop("extra", None) if isinstance(cfg, dict) else None
     params = {}
     for _ in range(uints(1)[0]):
         name = take(uints(1)[0]).decode()

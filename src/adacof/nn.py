@@ -4,35 +4,51 @@ Every primitive takes (B, C, H, W) arrays and returns (output, vjp); the
 vjp maps an upstream gradient back to input (and parameter) gradients.
 SynthModel.backward replays them from a tape; model.synthesize and the
 classifier's forward compose them into vjp closures of their own.
+
+conv3x3 works channel-major inside. Its im2col is (C*9, B*H*W), filled
+from nine shifted slabs of the padded (C, B, H+2, W+2) input, so each copy
+moves W-long runs; its output is the (O, B, H, W) product returned as a
+transposed (B, O, H, W) view, C-contiguous at B=1. The input gradient adds
+each tap's gradient back at its shift, one sample at a time, on rows of
+pitch W+2, where a shift is one flat offset.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv3x3(x, kernel, bias):
     """Same-padded 3x3 convolution; vjp returns (gx, gkernel, gbias)."""
     b, c, h, w = x.shape
     o = kernel.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (B,C,H,W,3,3)
-    cols_mat = cols.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, c * 9)
+    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((c, 3, 3, b, h, w))
+    for di in range(3):
+        for dj in range(3):
+            cols[:, di, dj] = xp[:, :, di:di + h, dj:dj + w]
+    cols = cols.reshape(c * 9, b * h * w)
     kmat = kernel.reshape(o, c * 9)
-    y = (cols_mat @ kmat.T + bias).reshape(b, h, w, o).transpose(0, 3, 1, 2)
+    y = (kmat @ cols + bias[:, None]).reshape(o, b, h, w).transpose(1, 0, 2, 3)
 
     def vjp(gy):
-        gy_mat = gy.transpose(0, 2, 3, 1).reshape(b * h * w, o)
-        gk = (gy_mat.T @ cols_mat).reshape(kernel.shape)
-        gb = gy_mat.sum(axis=0)
-        # adjoint of the im2col: add each tap's gradient back at its shift
-        gxp = np.zeros((b, h + 2, w + 2, c))
-        for di in range(3):
-            for dj in range(3):
-                tap = gy_mat @ kernel[:, :, di, dj]
-                gxp[:, di:di + h, dj:dj + w] += tap.reshape(b, h, w, c)
-        return gxp[:, 1:h + 1, 1:w + 1].transpose(0, 3, 1, 2), gk, gb
+        # this sum order keeps gbias bit-identical to a (B*H*W, O) im2col's
+        gb = gy.transpose(0, 2, 3, 1).reshape(b * h * w, o).sum(axis=0)
+        gk = (gy.transpose(1, 0, 2, 3).reshape(o, b * h * w) @ cols.T).reshape(kernel.shape)
+        # adjoint of the im2col. A row of gpad is w+2 long, so each tap's shift
+        # is one flat offset; its two zero columns add only zeros, the last
+        # tap's into two spare elements past the padded plane
+        n = h * (w + 2)
+        gxp = np.zeros((c, b, (h + 2) * (w + 2) + 2))
+        gpad = np.zeros((o, h, w + 2))
+        for i in range(b):
+            gpad[..., :w] = gy[i]
+            for di in range(3):
+                for dj in range(3):
+                    off = di * (w + 2) + dj
+                    gxp[:, i, off:off + n] += kernel[:, :, di, dj].T @ gpad.reshape(o, n)
+        gx = gxp[..., :-2].reshape(c, b, h + 2, w + 2)[:, :, 1:h + 1, 1:w + 1]
+        return gx.transpose(1, 0, 2, 3), gk, gb
 
     return y, vjp
 

@@ -23,6 +23,8 @@ from .warp import WarpMode, forward_warp  # noqa: F401
 
 # short names accepted for TrainConfig fields, as in the paper's notation
 KEY_ALIASES = {"F": "kernel_size", "d": "dilation"}
+# TrainConfig.warp_mode values: the operator modes and 'woocc' (no occlusion)
+WARP_MODES = tuple(m.value for m in WarpMode) + ("woocc",)
 
 
 @dataclass
@@ -37,7 +39,7 @@ class TrainConfig:
     epochs: int = 30
     seed: int = 7
     mode: str = "distortion"          # distortion | perception
-    warp_mode: str = "adacof"         # adacof | fb | kb | ws | sdc | woocc
+    warp_mode: str = "adacof"         # one of WARP_MODES
     lambda_1: float = 0.01
     lambda_vgg: float = 1.0
     lambda_adv: float = 0.005
@@ -51,11 +53,17 @@ class TrainConfig:
         self.widths = tuple(self.widths)
         if self.mode not in ("distortion", "perception"):
             raise ValueError(f"mode must be 'distortion' or 'perception', got {self.mode!r}")
+        if self.warp_mode not in WARP_MODES:
+            raise ValueError(f"warp_mode must be one of {', '.join(WARP_MODES)}, "
+                             f"got {self.warp_mode!r}")
 
     @classmethod
     def from_json(cls, path):
         with open(path) as f:
-            raw = json.load(f)
+            try:
+                raw = json.load(f)
+            except ValueError as exc:
+                raise ValueError(f"{path}: not valid JSON: {exc}") from None
         if isinstance(raw, dict):
             raw = {KEY_ALIASES.get(k, k): v for k, v in raw.items()}
         return config_from_dict(cls, raw, path)

@@ -201,38 +201,46 @@ def test_train_rejects_fewer_triplets_than_batch(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def _rewrite_config_block(src, dst, **changes):
-    """Copy a checkpoint with its JSON config block updated."""
+def _rewrite_config_block(src, dst, edit):
+    """Copy a checkpoint with its config block's text replaced by edit(text)."""
     with open(src, "rb") as f:
         data = f.read()
     (n,) = struct.unpack("<I", data[8:12])
-    blob = json.dumps({**json.loads(data[12:12 + n]), **changes}).encode()
+    blob = edit(data[12:12 + n].decode()).encode()
     dst.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + n:])
 
 
-@pytest.mark.parametrize("change, message", [
-    ({"colour": 1}, "unknown config key 'colour'"),
-    ({"depth": "2"}, "config key 'depth' must be int, got '2'"),
-], ids=["unknown-key", "wrong-type"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: json.dumps({**json.loads(text), "colour": 1}),
+     "unknown config key 'colour'"),
+    (lambda text: json.dumps({**json.loads(text), "depth": "2"}),
+     "config key 'depth' must be int, got '2'"),
+    (lambda text: "[1]", "expected a JSON object, got list"),
+    (lambda text: text[:-1], "config block is not valid JSON"),
+], ids=["unknown-key", "wrong-type", "not-an-object", "not-json"])
 def test_checkpoint_config_block_names_the_bad_key(dataset, trained, tmp_path, capsys,
-                                                   change, message):
+                                                   edit, message):
     ckpt = tmp_path / "bad.ackp"
-    _rewrite_config_block(os.path.join(trained, "ckpt_final.ackp"), ckpt, **change)
+    _rewrite_config_block(os.path.join(trained, "ckpt_final.ackp"), ckpt, edit)
     assert main(["eval", "--ckpt", str(ckpt), "--data", dataset]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {ckpt}: {message}" in captured.err
 
 
-@pytest.mark.parametrize("change, message", [
-    ({"colour": 1}, "unknown config key 'colour'"),
-    ({"mode": "perceptoin", "adv_epochs": 1},
+@pytest.mark.parametrize("change, cut, message", [
+    ({"colour": 1}, False, "unknown config key 'colour'"),
+    ({"mode": "perceptoin", "adv_epochs": 1}, False,
      "mode must be 'distortion' or 'perception', got 'perceptoin'"),
-], ids=["unknown-key", "misspelt-mode"])
-def test_training_config_names_the_bad_key(dataset, tmp_path, capsys, change, message):
+    ({"warp_mode": "zzz"}, False,
+     "warp_mode must be one of adacof, fb, kb, ws, sdc, woocc, got 'zzz'"),
+    ({}, True, "not valid JSON: Expecting ',' delimiter"),
+], ids=["unknown-key", "misspelt-mode", "unknown-warp-mode", "not-json"])
+def test_training_config_names_the_bad_key(dataset, tmp_path, capsys, change, cut, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dataset_dir": dataset, "F": 3, "depth": 1,
-                               "widths": [4], "batch": 2, "epochs": 1, **change}))
+    text = json.dumps({"dataset_dir": dataset, "F": 3, "depth": 1,
+                       "widths": [4], "batch": 2, "epochs": 1, **change})
+    cfg.write_text(text[:-1] if cut else text)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     assert f"error: {cfg}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
@@ -259,6 +267,32 @@ def test_bad_thread_count_is_a_usage_error(capsys, argv, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument --threads: must be a positive integer, got {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--size", "12"], "argument --size: must be HxW with positive integers, got '12'"),
+    (["--F", "0"], "argument --F: must be a positive integer, got '0'"),
+], ids=["size", "F"])
+def test_bad_bench_argument_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_interp_names_frames_of_different_sizes(dataset, trained, tmp_path, capsys):
+    frame0 = os.path.join(dataset, "0000", "frame0.ppm")
+    frame1 = tmp_path / "wide.ppm"
+    write_ppm(frame1, Frame(np.zeros((3, 16, 20))))
+    assert main(["interp", "--ckpt", os.path.join(trained, "ckpt_final.ackp"),
+                 "--frame0", frame0, "--frame1", str(frame1),
+                 "--out", str(tmp_path / "mid.ppm")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: frames differ in size: {frame0} is 16x16, {frame1} is 16x20" in captured.err
+    assert not (tmp_path / "mid.ppm").exists()
 
 
 def test_usage_error_exit_code():
