@@ -21,7 +21,8 @@ from .datagen import load_triplet, read_manifest, write_dataset
 from .flowstats import mean_flow, render_flow, render_occlusion, variance_flow
 from .model import load_checkpoint
 from .ppm import read_ppm, write_ppm
-from .train import KEY_ALIASES, TrainConfig, evaluate, infer, mean_metrics, train
+from .train import (KEY_ALIASES, WARP_MODES, TrainConfig, evaluate, infer, mean_metrics,
+                    train)
 from .warp import WarpMode, WarpParams, forward_warp, load_acof, save_acof
 
 GRADCHECK_THRESHOLDS = {"adacof": 1e-4, "losses": 1e-4, "network": 1e-3}
@@ -52,13 +53,17 @@ def _frame_size(text):
 
 
 def _sweep_param(text):
-    """sweep --param KEY=V1,V2,...: a TrainConfig field and its integer values."""
+    """sweep --param KEY=V1,V2,...: a TrainConfig field and its integer values.
+
+    Each value is checked on its own here; depth 0 puts no bound on a crop,
+    which is checked against the config's depth when the sweep builds its
+    variants."""
     key, _, values = text.partition("=")
     key = KEY_ALIASES.get(key, key)
     try:
         values = [int(v) for v in values.split(",")]
         for value in values:
-            config_from_dict(TrainConfig, {key: value}, text)
+            config_from_dict(TrainConfig, {"depth": 0, key: value}, text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return key, values
@@ -80,10 +85,20 @@ def cmd_train(args):
 
 def _load_model(path):
     model, extra = load_checkpoint(path)
-    extra = extra or {}
-    wmode = WarpMode(extra.get("warp_mode", "adacof"))
+    extra = {} if extra is None else extra
+    if not isinstance(extra, dict):
+        raise ValueError(f"{path}: config key 'extra' must be a JSON object, "
+                         f"got {type(extra).__name__}")
+    modes = [m.value for m in WarpMode]
+    wmode = extra.get("warp_mode", "adacof")
+    if wmode not in modes:
+        raise ValueError(f"{path}: extra key 'warp_mode' must be one of "
+                         f"{', '.join(modes)}, got {wmode!r}")
     occlusion_enabled = extra.get("occlusion_enabled", True)
-    return model, wmode, occlusion_enabled
+    if type(occlusion_enabled) is not bool:
+        raise ValueError(f"{path}: extra key 'occlusion_enabled' must be bool, "
+                         f"got {occlusion_enabled!r}")
+    return model, WarpMode(wmode), occlusion_enabled
 
 
 def cmd_interp(args):
@@ -142,19 +157,33 @@ def _train_variants(config_path, column, variants):
     """Train one config variant per (label, out_dir, overrides) and print
     a `column,val_psnr,val_ssim` row for each."""
     config = TrainConfig.from_json(config_path)
+    try:  # every variant is checked before the first one trains
+        runs = [(label, out_dir, dataclasses.replace(config, **overrides))
+                for label, out_dir, overrides in variants]
+    except ValueError as exc:
+        raise ValueError(f"{config_path}: {exc}") from None
     print(f"{column},val_psnr,val_ssim")
-    for label, out_dir, overrides in variants:
-        _, history = train(dataclasses.replace(config, **overrides), out_dir,
-                           log=_err)
+    for label, out_dir, run in runs:
+        _, history = train(run, out_dir, log=_err)
         last = history[-1]
         print(f"{label},{last['val_psnr']:.6g},{last['val_ssim']:.6g}")
     return 0
 
 
+def _warp_modes(text):
+    """ablate --modes M1,M2,...: each one of train.WARP_MODES."""
+    modes = text.split(",")
+    for mode in modes:
+        if mode not in WARP_MODES:
+            raise argparse.ArgumentTypeError(
+                f"each mode must be one of {', '.join(WARP_MODES)}, got {mode!r}")
+    return modes
+
+
 def cmd_ablate(args):
     return _train_variants(args.config, "mode", [
         (mode, os.path.join(args.out, mode), {"warp_mode": mode})
-        for mode in args.modes.split(",")])
+        for mode in args.modes])
 
 
 def cmd_sweep(args):
@@ -243,7 +272,7 @@ def build_parser():
 
     p = sub.add_parser("ablate", help="train each operator mode")
     p.add_argument("--config", required=True)
-    p.add_argument("--modes", default="fb,kb,ws,woocc,sdc,adacof")
+    p.add_argument("--modes", default="fb,kb,ws,woocc,sdc,adacof", type=_warp_modes)
     p.add_argument("--out", default="ablate_out")
     p.set_defaults(func=cmd_ablate)
 

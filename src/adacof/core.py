@@ -18,6 +18,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+# the largest row band, in output pixels, that forward_warp and conv3x3's
+# forward work on at a time: small enough that each band's temporaries are
+# reused from the heap instead of freshly mapped
+BAND_PIXELS = 8192
+
 
 def check_finite(arr, what="array"):
     if not np.all(np.isfinite(arr)):

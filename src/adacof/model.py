@@ -17,7 +17,6 @@ import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn
 from .core import config_from_dict
@@ -70,9 +69,24 @@ MAX_FLOW = 3.0  # bound on the least-squares flow feature, in pixels
 
 
 def _box5(img):
-    """5x5 box sum of a (B, H, W) map with replicate padding."""
+    """5x5 box sum of a (B, H, W) map with replicate padding.
+
+    Separable: each padded row is summed over five shifted column slabs,
+    then five shifted rows of those sums are added. Both sums run left to
+    right, window row outer and window column inner, which is the order in
+    which numpy reduces a sliding_window_view(padded, (5, 5)) over its last
+    two axes, so for W > 1 the result is bit-identical to that two-axis sum
+    (at W = 1 numpy sums each window as one contiguous run of 25).
+    """
     padded = np.pad(img, ((0, 0), (2, 2), (2, 2)), mode="edge")
-    return sliding_window_view(padded, (5, 5), axis=(1, 2)).sum(axis=(3, 4))
+    h, w = img.shape[1:]
+    rows = padded[:, :, 0:w] + padded[:, :, 1:w + 1]
+    for dj in range(2, 5):
+        rows += padded[:, :, dj:dj + w]
+    out = rows[:, 0:h] + rows[:, 1:h + 1]
+    for di in range(2, 5):
+        out += rows[:, di:di + h]
+    return out
 
 
 def motion_features(x):

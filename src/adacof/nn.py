@@ -5,17 +5,32 @@ vjp maps an upstream gradient back to input (and parameter) gradients.
 SynthModel.backward replays them from a tape; model.synthesize and the
 classifier's forward compose them into vjp closures of their own.
 
-conv3x3 works channel-major inside. Its im2col is (C*9, B*H*W), filled
-from nine shifted slabs of the padded (C, B, H+2, W+2) input, so each copy
-moves W-long runs; its output is the (O, B, H, W) product returned as a
-transposed (B, O, H, W) view, C-contiguous at B=1. The input gradient adds
-each tap's gradient back at its shift, one sample at a time, on rows of
-pitch W+2, where a shift is one flat offset.
+conv3x3 works channel-major inside, on the padded (C, B, H+2, W+2) input.
+Its im2col is filled from nine shifted slabs of that input, so each copy
+moves W-long runs. The forward builds it one (sample, row band) at a time,
+at most BAND_PIXELS output pixels, into a buffer the heap can reuse, and
+multiplies each band into its slice of the (O, B, H, W) output, returned
+as a transposed (B, O, H, W) view, C-contiguous at B=1. The vjp keeps only
+the padded input and rebuilds the whole (C*9, B*H*W) im2col for the kernel
+gradient. The input gradient adds each tap's gradient back at its shift,
+one sample at a time, on rows of pitch W+2, where a shift is one flat offset.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .core import BAND_PIXELS
+
+
+def _im2col(xp, h, w):
+    """(C*9, B*h*w) im2col of a padded channel-major (C, B, h+2, w+2) input."""
+    c, b = xp.shape[:2]
+    cols = np.empty((c, 3, 3, b, h, w))
+    for di in range(3):
+        for dj in range(3):
+            cols[:, di, dj] = xp[:, :, di:di + h, dj:dj + w]
+    return cols.reshape(c * 9, b * h * w)
 
 
 def conv3x3(x, kernel, bias):
@@ -23,15 +38,19 @@ def conv3x3(x, kernel, bias):
     b, c, h, w = x.shape
     o = kernel.shape[0]
     xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((c, 3, 3, b, h, w))
-    for di in range(3):
-        for dj in range(3):
-            cols[:, di, dj] = xp[:, :, di:di + h, dj:dj + w]
-    cols = cols.reshape(c * 9, b * h * w)
     kmat = kernel.reshape(o, c * 9)
-    y = (kmat @ cols + bias[:, None]).reshape(o, b, h, w).transpose(1, 0, 2, 3)
+    y = np.empty((o, b, h, w))
+    rows = max(1, BAND_PIXELS // w)
+    for i in range(b):
+        for r in range(0, h, rows):
+            n = min(rows, h - r)
+            np.matmul(kmat, _im2col(xp[:, i:i + 1, r:r + n + 2], n, w),
+                      out=y[:, i, r:r + n].reshape(o, n * w))
+    y += bias[:, None, None, None]
+    y = y.transpose(1, 0, 2, 3)
 
     def vjp(gy):
+        cols = _im2col(xp, h, w)
         # this sum order keeps gbias bit-identical to a (B*H*W, O) im2col's
         gb = gy.transpose(0, 2, 3, 1).reshape(b * h * w, o).sum(axis=0)
         gk = (gy.transpose(1, 0, 2, 3).reshape(o, b * h * w) @ cols.T).reshape(kernel.shape)
@@ -110,9 +129,9 @@ def sigmoid(x):
 
 def softmax_channels(x):
     """Softmax over the channel axis at every pixel."""
-    z = x - x.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = x - x.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
 
     def vjp(gy):
         return y * (gy - (gy * y).sum(axis=1, keepdims=True))

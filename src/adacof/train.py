@@ -56,6 +56,15 @@ class TrainConfig:
         if self.warp_mode not in WARP_MODES:
             raise ValueError(f"warp_mode must be one of {', '.join(WARP_MODES)}, "
                              f"got {self.warp_mode!r}")
+        for key in ("batch", "epochs"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
+        # lr = 0 stays allowed: it trains nothing and keeps the untrained baseline
+        if not 0.0 <= self.lr < float("inf"):
+            raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
+        if self.crop < 0 or self.crop % 2 ** self.depth:
+            raise ValueError(f"crop must be 0 or a positive multiple of 2^depth = "
+                             f"{2 ** self.depth}, got {self.crop!r}")
 
     @classmethod
     def from_json(cls, path):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Frame, bilinear_corners, check_finite, sample_grid,
+from .core import (BAND_PIXELS, Frame, bilinear_corners, check_finite, sample_grid,
                    sample_grid_with_grad)
 
 ACOF_MAGIC = b"ACOF"
@@ -27,10 +27,6 @@ ACOF_VERSION = 1
 # weight-simplex validation tolerance; 1e-5 (not 1e-6) so that float32
 # round-tripped dumps of exactly-normalized weights still validate
 WEIGHT_ATOL = 1e-5
-
-# forward_warp's largest row band in output pixels: small enough that each
-# tap's temporaries are reused from the heap instead of freshly mapped
-BAND_PIXELS = 8192
 
 
 class WarpMode(enum.Enum):

@@ -134,6 +134,18 @@ def test_ablate_modes(dataset, tmp_path, capsys):
     assert [l.split(",")[0] for l in lines[1:]] == ["kb", "woocc"]
 
 
+def test_ablate_rejects_an_unknown_mode_before_training(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--config", str(tmp_path / "cfg.json"), "--modes", "kb,zzz",
+              "--out", str(tmp_path / "ablate")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("argument --modes: each mode must be one of adacof, fb, kb, ws, sdc, woocc, "
+            "got 'zzz'") in captured.err
+    assert not (tmp_path / "ablate").exists()
+
+
 @pytest.mark.parametrize("size", [100, None], ids=["truncated", "trailing"])
 def test_warp_rejects_a_dump_of_the_wrong_length(tmp_path, capsys, size):
     src = tmp_path / "in.ppm"
@@ -217,7 +229,14 @@ def _rewrite_config_block(src, dst, edit):
      "config key 'depth' must be int, got '2'"),
     (lambda text: "[1]", "expected a JSON object, got list"),
     (lambda text: text[:-1], "config block is not valid JSON"),
-], ids=["unknown-key", "wrong-type", "not-an-object", "not-json"])
+    (lambda text: json.dumps({**json.loads(text), "extra": [1]}),
+     "config key 'extra' must be a JSON object, got list"),
+    (lambda text: json.dumps({**json.loads(text), "extra": {"warp_mode": "zzz"}}),
+     "extra key 'warp_mode' must be one of adacof, fb, kb, ws, sdc, got 'zzz'"),
+    (lambda text: json.dumps({**json.loads(text), "extra": {"occlusion_enabled": 1}}),
+     "extra key 'occlusion_enabled' must be bool, got 1"),
+], ids=["unknown-key", "wrong-type", "not-an-object", "not-json", "extra-not-an-object",
+        "extra-unknown-warp-mode", "extra-occlusion-not-bool"])
 def test_checkpoint_config_block_names_the_bad_key(dataset, trained, tmp_path, capsys,
                                                    edit, message):
     ckpt = tmp_path / "bad.ackp"
@@ -235,7 +254,12 @@ def test_checkpoint_config_block_names_the_bad_key(dataset, trained, tmp_path, c
     ({"warp_mode": "zzz"}, False,
      "warp_mode must be one of adacof, fb, kb, ws, sdc, woocc, got 'zzz'"),
     ({}, True, "not valid JSON: Expecting ',' delimiter"),
-], ids=["unknown-key", "misspelt-mode", "unknown-warp-mode", "not-json"])
+    ({"lr": -1}, False, "lr must be a finite number >= 0, got -1"),
+    ({"crop": 3}, False, "crop must be 0 or a positive multiple of 2^depth = 2, got 3"),
+    ({"batch": 0}, False, "batch must be >= 1, got 0"),
+    ({"epochs": 0}, False, "epochs must be >= 1, got 0"),
+], ids=["unknown-key", "misspelt-mode", "unknown-warp-mode", "not-json", "negative-lr",
+        "crop-not-a-multiple", "zero-batch", "zero-epochs"])
 def test_training_config_names_the_bad_key(dataset, tmp_path, capsys, change, cut, message):
     cfg = tmp_path / "cfg.json"
     text = json.dumps({"dataset_dir": dataset, "F": 3, "depth": 1,
@@ -244,6 +268,24 @@ def test_training_config_names_the_bad_key(dataset, tmp_path, capsys, change, cu
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     assert f"error: {cfg}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_sweep_checks_a_crop_against_the_configs_depth(dataset, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dataset_dir": dataset, "F": 3, "depth": 1, "widths": [4],
+        "lr": 0.002, "batch": 2, "epochs": 1, "seed": 0}))
+    # 12 is a multiple of 2^1 but not of the default depth's 2^3
+    assert main(["sweep", "--config", str(cfg), "--param", "crop=12",
+                 "--out", str(tmp_path / "ok")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "crop,val_psnr,val_ssim"
+    assert main(["sweep", "--config", str(cfg), "--param", "crop=12,3",
+                 "--out", str(tmp_path / "bad")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: {cfg}: crop must be 0 or a positive multiple of 2^depth = 2, got 3"
+            in captured.err)
+    assert not (tmp_path / "bad").exists()
 
 
 def test_sweep_param_names_the_bad_key(tmp_path, capsys):

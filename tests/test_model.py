@@ -1,12 +1,17 @@
 """Parameter-estimator network tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from adacof.model import (HEAD_NAMES, ModelConfig, SynthModel, load_checkpoint,
+from adacof.model import (HEAD_NAMES, ModelConfig, SynthModel, _box5, load_checkpoint,
                           motion_features, save_checkpoint, synthesize)
+from adacof.train import infer
 from adacof.warp import (WarpMode, WarpParams, backward_warp_vjp, forward_warp,
                          occlusion_blend, occlusion_blend_vjp, project_mode)
 
@@ -194,6 +199,44 @@ def test_motion_features_recover_translation_direction():
     fy = feats[0, 3, 8:24, 8:24]
     # backward flow from first toward last is negative y here
     assert np.median(fy) < -0.5
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(b=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_box5_matches_the_sliding_window_sum(b, h, w, seed):
+    """Bit-identical to the two-axis sum of a 5x5 sliding-window view, which
+    reduces each window row by row in the separable order. At w = 1 the
+    padded rows are five wide, so numpy sees each window as one contiguous
+    run of 25 and sums it pairwise: there the two agree to rounding only.
+    The network never sees w = 1, since its sides are multiples of 2^depth."""
+    rng = np.random.default_rng(seed)
+    img = rng.normal(size=(b, h, w)) * rng.exponential(size=(b, h, w)) ** 3
+    padded = np.pad(img, ((0, 0), (2, 2), (2, 2)), mode="edge")
+    want = sliding_window_view(padded, (5, 5), axis=(1, 2)).sum(axis=(3, 4))
+    if w > 1:
+        np.testing.assert_array_equal(_box5(img), want)
+    else:
+        bound = 25 * np.finfo(float).eps * sliding_window_view(
+            abs(padded), (5, 5), axis=(1, 2)).sum(axis=(3, 4))
+        assert np.all(abs(_box5(img) - want) <= bound)
+
+
+def test_infer_does_not_hold_the_whole_im2col():
+    """One 128x128 infer at the acceptance config stays below 60 MiB of
+    traced allocations: conv3x3 builds its forward im2col one row band at
+    a time, and its vjp keeps the padded input instead of the im2col. The
+    whole-frame im2col kept by every layer peaked at 105 MiB."""
+    model = SynthModel(ModelConfig(kernel_size=5, dilation=1, depth=2, widths=(8, 16)))
+    rng = np.random.default_rng(3)
+    first, last = rng.random((2, 3, 128, 128))
+    tracemalloc.start()
+    try:
+        infer(model, first, last)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_checkpoint_roundtrip(tmp_path):

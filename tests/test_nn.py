@@ -1,5 +1,7 @@
 """Network primitive tests: forward oracles and VJP finite differences."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -90,20 +92,25 @@ def _conv_case(rng, b, c, o, h, w, channel_major_gy=False):
        seed=st.integers(0, 2**32 - 1))
 @example(b=1, c=11, o=8, h=1, w=7, channel_major_gy=False, seed=0)
 @example(b=4, c=3, o=12, h=6, w=1, channel_major_gy=True, seed=1)
+@example(b=3, c=5, o=4, h=7, w=5, channel_major_gy=False, seed=2)
 def test_conv3x3_matches_row_major_im2col(b, c, o, h, w, channel_major_gy, seed):
     """Equal to the oracle up to summation order: each difference is within
     twice the rounding bound n*eps*sum|terms| of one dot product of n terms.
-    gbias, the same expression in both, is bit-identical."""
+    gbias, the same expression in both, is bit-identical. Each case also runs
+    with 16-pixel bands, which split most frames into several row bands, the
+    last one short (7 rows of 5 pixels: 3, 3 and 1 rows)."""
     x, kernel, bias, gy = _conv_case(np.random.default_rng(seed), b, c, o, h, w,
                                      channel_major_gy)
-    y, vjp = nn.conv3x3(x, kernel, bias)
-    got = (y, *vjp(gy))
     want = _row_major_im2col_conv(x, kernel, bias, gy)
     scale = _row_major_im2col_conv(abs(x), abs(kernel), abs(bias), abs(gy))
     n = max(9 * c + 1, 9 * o, b * h * w)
-    for g, expected, s in zip(got[:3], want, scale):
-        assert np.all(abs(g - expected) <= 2 * n * np.finfo(float).eps * s)
-    np.testing.assert_array_equal(got[3], want[3])
+    for band_pixels in (nn.BAND_PIXELS, 16):
+        with mock.patch.object(nn, "BAND_PIXELS", band_pixels):
+            y, vjp = nn.conv3x3(x, kernel, bias)
+        got = (y, *vjp(gy))
+        for g, expected, s in zip(got[:3], want, scale):
+            assert np.all(abs(g - expected) <= 2 * n * np.finfo(float).eps * s), band_pixels
+        np.testing.assert_array_equal(got[3], want[3])
 
 
 @pytest.mark.parametrize("b, size", [(4, 32), (1, 128)], ids=["B4-32x32", "B1-128x128"])
@@ -181,6 +188,23 @@ def test_softmax_channels_simplex_and_vjp():
     assert float((g * dx).sum()) == pytest.approx(
         _fd_dot(lambda z: float((nn.softmax_channels(z)[0] * up).sum()), x, dx),
         rel=1e-6)
+
+
+def test_softmax_channels_keeps_its_input_and_the_three_step_bits():
+    """The input is a view of the head output that the offset groups share,
+    so it must come back unchanged. Output and vjp equal the formula
+    exp(z) / sum exp(z), z = x - max, bit for bit."""
+    rng = np.random.default_rng(8)
+    head = rng.normal(size=(2, 3 * 9, 5, 4)) * 4.0
+    kept = head.copy()
+    x = head[:, 9:18]
+    y, vjp = nn.softmax_channels(x)
+    np.testing.assert_array_equal(head, kept)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    want = e / e.sum(axis=1, keepdims=True)
+    np.testing.assert_array_equal(y, want)
+    gy = rng.normal(size=y.shape)
+    np.testing.assert_array_equal(vjp(gy), want * (gy - (gy * want).sum(axis=1, keepdims=True)))
 
 
 def test_sigmoid_and_global_mean_vjp():
