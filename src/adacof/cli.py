@@ -16,14 +16,12 @@ import numpy as np
 
 from . import gradcheck as gc
 from . import metrics
-from .core import config_from_dict
-from .datagen import load_triplet, read_manifest, write_dataset
+from .datagen import MIN_SIZE, load_triplet, read_manifest, write_dataset
 from .flowstats import mean_flow, render_flow, render_occlusion, variance_flow
 from .model import load_checkpoint
 from .ppm import read_ppm, write_ppm
-from .train import (KEY_ALIASES, WARP_MODES, TrainConfig, evaluate, infer, mean_metrics,
-                    train)
-from .warp import WarpMode, WarpParams, forward_warp, load_acof, save_acof
+from .train import KEY_ALIASES, TrainConfig, evaluate, infer, mean_metrics, train
+from .warp import WarpMode, forward_warp, load_acof, save_acof
 
 GRADCHECK_THRESHOLDS = {"adacof": 1e-4, "losses": 1e-4, "network": 1e-3}
 
@@ -32,14 +30,21 @@ def _err(msg):
     print(msg, file=sys.stderr)
 
 
-def _positive_int(text):
-    """The one check of a thread count or of bench --F: a positive integer."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+def _checked(convert, holds, want):
+    """An argparse type: convert(text), a usage error naming the text unless
+    the value holds."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if holds(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+    return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 
 
 def _frame_size(text):
@@ -53,20 +58,20 @@ def _frame_size(text):
 
 
 def _sweep_param(text):
-    """sweep --param KEY=V1,V2,...: a TrainConfig field and its integer values.
+    """sweep --param KEY=V1,V2,...: an int TrainConfig field and its values.
 
-    Each value is checked on its own here; depth 0 puts no bound on a crop,
-    which is checked against the config's depth when the sweep builds its
-    variants."""
+    The values' ranges are checked against the config file when the sweep
+    builds its variants."""
     key, _, values = text.partition("=")
     key = KEY_ALIASES.get(key, key)
+    default = {f.name: f.default for f in dataclasses.fields(TrainConfig)}.get(key)
+    if type(default) is not int:
+        what = "unknown config key" if default is None else "not an int config key"
+        raise argparse.ArgumentTypeError(f"{text}: {what} {key!r}")
     try:
-        values = [int(v) for v in values.split(",")]
-        for value in values:
-            config_from_dict(TrainConfig, {"depth": 0, key: value}, text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return key, values
+        return key, [int(v) for v in values.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text}: values must be ints") from None
 
 
 def cmd_gen_data(args):
@@ -83,34 +88,15 @@ def cmd_train(args):
     return 0
 
 
-def _load_model(path):
-    model, extra = load_checkpoint(path)
-    extra = {} if extra is None else extra
-    if not isinstance(extra, dict):
-        raise ValueError(f"{path}: config key 'extra' must be a JSON object, "
-                         f"got {type(extra).__name__}")
-    modes = [m.value for m in WarpMode]
-    wmode = extra.get("warp_mode", "adacof")
-    if wmode not in modes:
-        raise ValueError(f"{path}: extra key 'warp_mode' must be one of "
-                         f"{', '.join(modes)}, got {wmode!r}")
-    occlusion_enabled = extra.get("occlusion_enabled", True)
-    if type(occlusion_enabled) is not bool:
-        raise ValueError(f"{path}: extra key 'occlusion_enabled' must be bool, "
-                         f"got {occlusion_enabled!r}")
-    return model, WarpMode(wmode), occlusion_enabled
-
-
 def cmd_interp(args):
-    model, wmode, occ_on = _load_model(args.ckpt)
+    model = load_checkpoint(args.ckpt)
     frame0 = read_ppm(args.frame0)
     frame1 = read_ppm(args.frame1)
     if frame0.shape != frame1.shape:
         (h0, w0), (h1, w1) = frame0.shape[1:], frame1.shape[1:]
         raise ValueError(f"frames differ in size: {args.frame0} is {h0}x{w0}, "
                          f"{args.frame1} is {h1}x{w1}")
-    blended, pf, pb, v = infer(model, frame0.pixels, frame1.pixels, wmode,
-                               occ_on, threads=args.threads)
+    blended, pf, pb, v = infer(model, frame0.pixels, frame1.pixels, threads=args.threads)
     write_ppm(args.out, blended)
     if args.dump_params:
         save_acof(args.dump_params, pf, v)
@@ -122,6 +108,10 @@ def cmd_interp(args):
 def cmd_warp(args):
     params, _ = load_acof(args.params)
     image = read_ppm(args.input)
+    if image.shape[1:] != (params.height, params.width):
+        raise ValueError(f"image and parameter maps differ in size: {args.input} is "
+                         f"{image.height}x{image.width}, {args.params} is "
+                         f"{params.height}x{params.width}")
     warped = forward_warp(image.pixels, params, threads=args.threads)
     write_ppm(args.out, warped)
     return 0
@@ -171,12 +161,12 @@ def _train_variants(config_path, column, variants):
 
 
 def _warp_modes(text):
-    """ablate --modes M1,M2,...: each one of train.WARP_MODES."""
-    modes = text.split(",")
+    """ablate --modes M1,M2,...: each a WarpMode value."""
+    modes, known = text.split(","), [m.value for m in WarpMode]
     for mode in modes:
-        if mode not in WARP_MODES:
+        if mode not in known:
             raise argparse.ArgumentTypeError(
-                f"each mode must be one of {', '.join(WARP_MODES)}, got {mode!r}")
+                f"each mode must be one of {', '.join(known)}, got {mode!r}")
     return modes
 
 
@@ -200,21 +190,19 @@ def cmd_bench(args):
     print("threads,seconds,megapixel_taps_per_s")
     for threads in args.threads:
         forward_warp(image, params, threads=threads)  # warm-up
-        reps = max(1, args.reps)
         start = time.perf_counter()
-        for _ in range(reps):
+        for _ in range(args.reps):
             forward_warp(image, params, threads=threads)
-        elapsed = (time.perf_counter() - start) / reps
+        elapsed = (time.perf_counter() - start) / args.reps
         mts = h * w * args.F * args.F / elapsed / 1e6
         print(f"{threads},{elapsed:.4f},{mts:.1f}")
     return 0
 
 
 def cmd_eval(args):
-    model, wmode, occ_on = _load_model(args.ckpt)
+    model = load_checkpoint(args.ckpt)
     names = read_manifest(args.data)
-    rows = evaluate(model, (load_triplet(os.path.join(args.data, n)) for n in names),
-                    wmode, occ_on)
+    rows = evaluate(model, (load_triplet(os.path.join(args.data, n)) for n in names))
     print("name,psnr_db,ssim,ie")
     for name, row in zip(names, rows):
         print(metrics.metrics_row(name, *row))
@@ -232,9 +220,11 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="generate a synthetic triplet dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=512)
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--max-disp", type=float, default=3.0)
+    p.add_argument("--count", type=_positive_int, default=512)
+    p.add_argument("--size", default=32, type=_checked(
+        int, lambda n: n >= MIN_SIZE, f"an integer >= {MIN_SIZE}"))
+    p.add_argument("--max-disp", default=3.0, type=_checked(
+        float, lambda x: 0.0 <= x < float("inf"), "a finite number >= 0"))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_data)
 
@@ -286,10 +276,10 @@ def build_parser():
     p = sub.add_parser("bench", help="warp throughput report")
     p.add_argument("--size", default="256x256", type=_frame_size)
     p.add_argument("--F", type=_positive_int, default=5)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=_checked(int, lambda n: n >= 0, "an integer >= 0"), default=1)
     p.add_argument("--threads", default=str(threads),
                    type=lambda text: [_positive_int(t) for t in text.split(",")])
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

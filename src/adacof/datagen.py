@@ -21,6 +21,7 @@ from .ppm import read_ppm, write_ppm
 from .warp import WarpMode, load_acof, make_mode_params, save_acof
 
 KINDS = ("global_translation", "rotation", "occluder")
+MIN_SIZE = 16  # the smallest frame side generate_triplet renders
 
 
 @dataclass
@@ -70,8 +71,8 @@ def _max_displacement(spec, size):
 
 def generate_triplet(spec, size, seed, max_disp=3.0):
     """Render (first, middle, last) at t = 0, 1/2, 1 with ground truth."""
-    if size < 16:
-        raise ValueError("size must be >= 16")
+    if size < MIN_SIZE:
+        raise ValueError(f"size must be >= {MIN_SIZE}")
     if _max_displacement(spec, size) > max_disp:
         raise ValueError(f"motion exceeds the configured maximum {max_disp}")
     rng = np.random.default_rng((seed, spec.texture_seed))

@@ -14,9 +14,8 @@ import numpy as np
 from .losses import (Discriminator, GradientBankExtractor, charbonnier_l1,
                      discriminator_loss, generator_entropy_loss, perceptual_loss)
 from .model import ModelConfig, SynthModel, synthesize
-from .warp import (WarpMode, WarpParams, _tap_coords, backward_warp_image_vjp,
-                   backward_warp_vjp, forward_warp, occlusion_blend,
-                   occlusion_blend_vjp)
+from .warp import (WarpParams, _tap_coords, backward_warp_image_vjp, backward_warp_vjp,
+                   forward_warp, occlusion_blend, occlusion_blend_vjp)
 
 FD_STEP = 1e-3
 # one or two in a hundred drawn network instances are kink-free; this caps
@@ -114,7 +113,7 @@ def check_network(seed=0):
         x = rng.random((1, 6, 8, 8))  # first frame, then last
         gt = rng.random((3, 8, 8))
         out, net_tape = model.forward(x)
-        frames, params, synth_vjp = synthesize(cfg, out, x, WarpMode.ADACOF, True)
+        frames, params, synth_vjp = synthesize(cfg, out, x)
         dist = min(np.abs(coords - np.round(coords)).min()
                    for p in params for _, *yx in _tap_coords(p) for coords in yx)
         if dist > 2e-3:
@@ -130,7 +129,7 @@ def check_network(seed=0):
     for name in sorted(model.params):
         def f_param(z, name=name):
             out, _ = SynthModel(cfg, {**model.params, name: z}).forward(x)
-            blended, _, _ = synthesize(cfg, out, x, WarpMode.ADACOF, True)
+            blended, _, _ = synthesize(cfg, out, x)
             return charbonnier_l1(blended[0], gt)[0]
 
         numeric = fd_gradient(f_param, model.params[name].copy(), h=1e-5)

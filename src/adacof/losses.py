@@ -9,7 +9,6 @@ keeps the loss a deterministic feature-space distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,20 +17,6 @@ from . import nn
 PROB_CLAMP = 1e-6
 EPSILON = 0.001  # Charbonnier smoothing scale
 DISC_WIDTH = 8  # channels of the classifier's two hidden convolutions
-
-
-@dataclass
-class LossConfig:
-    lambda_1: float = 0.01
-    lambda_vgg: float = 1.0
-    lambda_adv: float = 0.005
-    mode: str = "distortion"
-
-    def __post_init__(self):
-        if min(self.lambda_1, self.lambda_vgg, self.lambda_adv) < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.mode not in ("distortion", "perception"):
-            raise ValueError(f"unknown loss mode {self.mode!r}")
 
 
 def charbonnier_l1(a, b):

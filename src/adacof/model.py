@@ -8,6 +8,9 @@ groups go through a per-pixel softmax over the tap axis, the occlusion
 group through a sigmoid, offset groups are left unconstrained. The head is
 zero-initialized so an untrained model emits uniform weights, zero
 offsets, and a 0.5 occlusion map.
+
+ModelConfig describes the whole model, its warp mode included; a checkpoint's
+config block is the ModelConfig, so a loaded model warps as it was trained.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ import numpy as np
 
 from . import nn
 from .core import config_from_dict
-from .warp import (WarpParams, backward_warp_vjp, forward_warp, occlusion_blend,
+from .warp import (WarpMode, WarpParams, backward_warp_vjp, forward_warp, occlusion_blend,
                    occlusion_blend_vjp, project_mode)
 
 CKPT_MAGIC = b"ACKP"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 
 @dataclass
@@ -33,35 +36,31 @@ class ModelConfig:
     dilation: int = 1
     depth: int = 3
     widths: tuple = (16, 32, 64)
-    in_channels: int = 6
-    frontend: bool = True
     seed: int = 0
+    warp_mode: str = "adacof"  # a WarpMode value
 
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
-        if self.depth < 1 or len(self.widths) != self.depth:
-            raise ValueError("need one positive width per encoder level")
-        if any(w <= 0 for w in self.widths):
-            raise ValueError("widths must be positive")
+        modes = [m.value for m in WarpMode]
+        if self.warp_mode not in modes:
+            raise ValueError(f"warp_mode must be one of {', '.join(modes)}, "
+                             f"got {self.warp_mode!r}")
+        if self.depth < 1 or len(self.widths) != self.depth or min(self.widths) <= 0:
+            raise ValueError(f"widths must be one positive width per encoder level "
+                             f"(depth {self.depth}), got {list(self.widths)}")
         if self.kernel_size < 1:
-            raise ValueError("kernel_size must be >= 1")
+            raise ValueError(f"kernel_size must be >= 1, got {self.kernel_size!r}")
 
     @property
     def head_sizes(self):
         """Channels of each head group, in HEAD_NAMES order."""
         return [1 if name == "occ" else self.kernel_size ** 2 for name in HEAD_NAMES]
 
-    def to_dict(self):
-        return asdict(self)
-
-    @property
-    def encoder_channels(self):
-        return self.in_channels + (MOTION_FEATURES if self.frontend else 0)
-
 
 # the head convolution's channel groups, stacked in this (sorted) order
 HEAD_NAMES = ("alpha_b", "alpha_f", "beta_b", "beta_f", "occ", "weight_b", "weight_f")
 
+IN_CHANNELS = 6  # the first frame's RGB, then the last frame's
 # channels appended by the motion frontend: temporal difference, two
 # spatial gradients, and the two components of the local least-squares flow
 MOTION_FEATURES = 5
@@ -132,25 +131,27 @@ class ModelOutputs:
     occ: np.ndarray       # (B, H, W), sigmoid output
 
 
-def synthesize(config, out, x, wmode, occlusion_enabled, threads=1):
+def synthesize(config, out, x, threads=1):
     """Middle frames of a (B, 6, H, W) batch x from out, its ModelOutputs.
 
-    Projects the maps onto the warp mode, warps the first frames forward and
-    the last backward (one batched forward_warp each) and blends with out.occ.
-    Returns the (B, 3, H, W) frames, the (forward, backward) WarpParams, and
-    a vjp from frame gradients to the head gradients SynthModel.backward takes.
+    Projects the maps onto config.warp_mode, warps the first frames forward
+    and the last backward (one batched forward_warp each) and blends with
+    out.occ, or averages the two under 'woocc'. Returns the (B, 3, H, W)
+    frames, the (forward, backward) WarpParams, and a vjp from frame
+    gradients to the head gradients SynthModel.backward takes.
     """
-    (wf, af, bf), vjp_f = project_mode(wmode, out.weight_f, out.alpha_f, out.beta_f)
-    (wb, ab, bb), vjp_b = project_mode(wmode, out.weight_b, out.alpha_b, out.beta_b)
+    mode = WarpMode(config.warp_mode)
+    blend = mode is not WarpMode.NO_OCCLUSION
+    (wf, af, bf), vjp_f = project_mode(mode, out.weight_f, out.alpha_f, out.beta_f)
+    (wb, ab, bb), vjp_b = project_mode(mode, out.weight_b, out.alpha_b, out.beta_b)
     pf = WarpParams(wf, af, bf, config.kernel_size, config.dilation)
     pb = WarpParams(wb, ab, bb, config.kernel_size, config.dilation)
     fwd = forward_warp(x[:, :3], pf, threads=threads)
     bwd = forward_warp(x[:, 3:], pb, threads=threads)
-    frames = occlusion_blend(fwd, bwd, out.occ, enabled=occlusion_enabled)
+    frames = occlusion_blend(fwd, bwd, out.occ, enabled=blend)
 
     def vjp(upstream):
-        gf, gb, gv = occlusion_blend_vjp(fwd, bwd, out.occ, upstream,
-                                         enabled=occlusion_enabled)
+        gf, gb, gv = occlusion_blend_vjp(fwd, bwd, out.occ, upstream, enabled=blend)
         grads = (*vjp_f(*backward_warp_vjp(x[:, :3], pf, gf)),
                  *vjp_b(*backward_warp_vjp(x[:, 3:], pb, gb)), gv)
         return dict(zip(("weight_f", "alpha_f", "beta_f", "weight_b", "alpha_b", "beta_b",
@@ -167,19 +168,18 @@ class SynthModel:
         self.params = params if params is not None else init_params(config)
 
     def forward(self, x):
-        """Run the network on (B, in_channels, H, W); returns (outputs, tape).
+        """Run the network on (B, IN_CHANNELS, H, W); returns (outputs, tape).
 
         Height and width must be divisible by 2**depth.
         """
         cfg = self.config
         b, c, h, w = x.shape
-        if c != cfg.in_channels:
-            raise ValueError(f"expected {cfg.in_channels} input channels, got {c}")
+        if c != IN_CHANNELS:
+            raise ValueError(f"expected {IN_CHANNELS} input channels, got {c}")
         div = 2 ** cfg.depth
         if h % div or w % div:
             raise ValueError(f"input {h}x{w} not divisible by 2^depth = {div}")
-        if cfg.frontend:
-            x = np.concatenate([x, motion_features(x)], axis=1)
+        x = np.concatenate([x, motion_features(x)], axis=1)
         p = self.params
         tape = {"enc": [], "dec": []}
         skips = []
@@ -254,7 +254,7 @@ def init_params(config):
             params[f"{name}.w"] = rng.normal(0.0, std, size=(cout, cin, 3, 3))
         params[f"{name}.b"] = np.zeros(cout)
 
-    cin = config.encoder_channels
+    cin = IN_CHANNELS + MOTION_FEATURES
     for i in range(config.depth):
         conv(f"enc{i}", cin, config.widths[i])
         cin = config.widths[i]
@@ -268,8 +268,9 @@ def init_params(config):
 
 
 def save_checkpoint(path, model, extra=None):
-    """Binary checkpoint: magic, version, JSON config block, named tensors."""
-    cfg = dict(model.config.to_dict())
+    """Binary checkpoint: magic, version, JSON config block, named tensors.
+    extra is metadata, kept in the config block and never read back."""
+    cfg = asdict(model.config)
     if extra:
         cfg["extra"] = extra
     blob = json.dumps(cfg, sort_keys=True).encode()
@@ -289,7 +290,7 @@ def save_checkpoint(path, model, extra=None):
 
 
 def load_checkpoint(path):
-    """Returns (SynthModel, extra-config dict)."""
+    """The SynthModel a save_checkpoint file holds."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != CKPT_MAGIC:
@@ -315,7 +316,8 @@ def load_checkpoint(path):
         cfg = json.loads(take(blob_len).decode())
     except ValueError as exc:
         raise ValueError(f"{path}: config block is not valid JSON: {exc}") from None
-    extra = cfg.pop("extra", None) if isinstance(cfg, dict) else None
+    if isinstance(cfg, dict):
+        cfg.pop("extra", None)
     params = {}
     for _ in range(uints(1)[0]):
         name = take(uints(1)[0]).decode()
@@ -331,4 +333,4 @@ def load_checkpoint(path):
         if got != want.get(name, "absent"):
             raise ValueError(f"{path}: tensor {name} is {got} in the file but "
                              f"{want.get(name, 'absent')} in its model config")
-    return SynthModel(config, params), extra
+    return SynthModel(config, params)

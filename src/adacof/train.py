@@ -1,5 +1,8 @@
 """Training loop: batching, the two-phase objective, validation metrics,
 checkpointing, and the end-to-end inference helper shared with the CLI.
+
+TrainConfig.model_config() is the network a config trains, its warp mode
+included, so inference and evaluation take the mode from the model alone.
 """
 
 from __future__ import annotations
@@ -13,18 +16,15 @@ import numpy as np
 from . import metrics
 from .core import config_from_dict
 from .datagen import augment, load_triplet, read_manifest
-from .losses import (Discriminator, GradientBankExtractor, LossConfig,
-                     charbonnier_l1, discriminator_loss, generator_entropy_loss,
-                     perceptual_loss)
+from .losses import (Discriminator, GradientBankExtractor, charbonnier_l1,
+                     discriminator_loss, generator_entropy_loss, perceptual_loss)
 from .model import ModelConfig, SynthModel, save_checkpoint, synthesize
 from .optim import AdaMaxState, Schedule, adamax_step
-# unused here: perfbench's tracer test reads this module's forward_warp binding
+# forward_warp is unused here: perfbench's tracer test reads this module's binding
 from .warp import WarpMode, forward_warp  # noqa: F401
 
 # short names accepted for TrainConfig fields, as in the paper's notation
 KEY_ALIASES = {"F": "kernel_size", "d": "dilation"}
-# TrainConfig.warp_mode values: the operator modes and 'woocc' (no occlusion)
-WARP_MODES = tuple(m.value for m in WarpMode) + ("woocc",)
 
 
 @dataclass
@@ -39,7 +39,7 @@ class TrainConfig:
     epochs: int = 30
     seed: int = 7
     mode: str = "distortion"          # distortion | perception
-    warp_mode: str = "adacof"         # one of WARP_MODES
+    warp_mode: str = "adacof"         # a WarpMode value
     lambda_1: float = 0.01
     lambda_vgg: float = 1.0
     lambda_adv: float = 0.005
@@ -51,20 +51,26 @@ class TrainConfig:
 
     def __post_init__(self):
         self.widths = tuple(self.widths)
-        if self.mode not in ("distortion", "perception"):
-            raise ValueError(f"mode must be 'distortion' or 'perception', got {self.mode!r}")
-        if self.warp_mode not in WARP_MODES:
-            raise ValueError(f"warp_mode must be one of {', '.join(WARP_MODES)}, "
-                             f"got {self.warp_mode!r}")
-        for key in ("batch", "epochs"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
-        # lr = 0 stays allowed: it trains nothing and keeps the untrained baseline
-        if not 0.0 <= self.lr < float("inf"):
-            raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
-        if self.crop < 0 or self.crop % 2 ** self.depth:
-            raise ValueError(f"crop must be 0 or a positive multiple of 2^depth = "
-                             f"{2 ** self.depth}, got {self.crop!r}")
+        self.model_config()  # checks the model fields, warp_mode among them
+        div = 2 ** self.depth
+        checks = {  # key: (holds, what it must be)
+            "mode": (self.mode in ("distortion", "perception"),
+                     "'distortion' or 'perception'"),
+            "batch": (self.batch >= 1, ">= 1"),
+            "epochs": (self.epochs >= 1, ">= 1"),
+            "schedule_period": (self.schedule_period >= 1, ">= 1"),
+            # lr = 0 stays allowed: it trains nothing and keeps the untrained baseline
+            "lr": (0.0 <= self.lr < float("inf"), "a finite number >= 0"),
+            "lambda_1": (self.lambda_1 >= 0.0, ">= 0"),
+            "lambda_vgg": (self.lambda_vgg >= 0.0, ">= 0"),
+            "lambda_adv": (self.lambda_adv >= 0.0, ">= 0"),
+            "val_fraction": (0.0 < self.val_fraction < 1.0, "between 0 and 1"),
+            "crop": (self.crop >= 0 and self.crop % div == 0,
+                     f"0 or a positive multiple of 2^depth = {div}"),
+        }
+        for key, (holds, want) in checks.items():
+            if not holds:
+                raise ValueError(f"{key} must be {want}, got {getattr(self, key)!r}")
 
     @classmethod
     def from_json(cls, path):
@@ -77,48 +83,41 @@ class TrainConfig:
             raw = {KEY_ALIASES.get(k, k): v for k, v in raw.items()}
         return config_from_dict(cls, raw, path)
 
-    def resolve(self):
-        """Warp mode implications: flow-only trains with F=1, d=0;
-        'woocc' is plain adacof with blending disabled."""
-        mode = self.warp_mode
-        occlusion_enabled = mode != "woocc"
-        wmode = WarpMode.ADACOF if mode == "woocc" else WarpMode(mode)
-        f, d = self.kernel_size, self.dilation
-        if wmode is WarpMode.FLOW_ONLY:
-            f, d = 1, 0
-        model_cfg = ModelConfig(kernel_size=f, dilation=d, depth=self.depth,
-                                widths=self.widths, seed=self.seed)
-        return wmode, occlusion_enabled, model_cfg
+    def model_config(self):
+        """The network this config trains; flow-only ('fb') trains with F=1, d=0."""
+        flow_only = self.warp_mode == WarpMode.FLOW_ONLY.value
+        return ModelConfig(kernel_size=1 if flow_only else self.kernel_size,
+                           dilation=0 if flow_only else self.dilation, depth=self.depth,
+                           widths=self.widths, seed=self.seed, warp_mode=self.warp_mode)
 
 
-def infer(model, first, last, warp_mode=WarpMode.ADACOF, occlusion_enabled=True,
-          threads=1):
+def infer(model, first, last, threads=1):
     """Full interpolation pass; returns (output, params_fwd, params_bwd, v)."""
     x = np.concatenate([np.asarray(first, dtype=np.float64),
                         np.asarray(last, dtype=np.float64)])[None]
     out = model.forward(x)[0]  # drops the network tape before the warps
-    frames, (pf, pb), _ = synthesize(model.config, out, x, warp_mode, occlusion_enabled,
-                                     threads)
+    frames, (pf, pb), _ = synthesize(model.config, out, x, threads)
     return frames[0], pf.at(0), pb.at(0), out.occ[0]
 
 
-def _batch_losses_and_grads(model, batch, wmode, occlusion_enabled, loss_cfg,
-                            extractor=None, disc=None):
+def _batch_losses_and_grads(model, batch, config, extractor=None, disc=None):
     """Loss and parameter gradients for one batch of triplets.
 
-    Returns (mean loss, model grads, classifier vjps): in the perception
-    phase, one (c1, vjp1, c2, vjp2) per triplet for the classifier step.
+    The loss is the Charbonnier distance, or, given the classifier disc, the
+    perception objective weighted by config's lambdas. Returns (mean loss,
+    model grads, classifier vjps): with disc, one (c1, vjp1, c2, vjp2) per
+    triplet for the classifier step.
     """
     x = np.stack([np.concatenate([t.first.pixels, t.last.pixels]) for t in batch])
     out, net_tape = model.forward(x)
-    frames, _, synth_vjp = synthesize(model.config, out, x, wmode, occlusion_enabled)
+    frames, _, synth_vjp = synthesize(model.config, out, x)
     g_frames = np.empty_like(frames)
     total = 0.0
     disc_vjps = []
     for i, (triplet, blended) in enumerate(zip(batch, frames)):
         gt = triplet.middle.pixels
         l1, g_l1 = charbonnier_l1(blended, gt)
-        if loss_cfg.mode == "perception":
+        if disc is not None:
             vgg, g_vgg = perceptual_loss(blended, gt, extractor)
             c1, vjp1 = disc.forward(np.concatenate([triplet.first.pixels, blended]))
             c2, vjp2 = disc.forward(np.concatenate([blended, triplet.last.pixels]))
@@ -127,10 +126,9 @@ def _batch_losses_and_grads(model, batch, wmode, occlusion_enabled, loss_cfg,
             _, g_in1 = vjp1(d_c1)
             _, g_in2 = vjp2(d_c2)
             g_adv = g_in1[3:] + g_in2[:3]
-            loss = (loss_cfg.lambda_1 * l1 + loss_cfg.lambda_vgg * vgg
-                    + loss_cfg.lambda_adv * adv)
-            g_frames[i] = (loss_cfg.lambda_1 * g_l1 + loss_cfg.lambda_vgg * g_vgg
-                           + loss_cfg.lambda_adv * g_adv)
+            loss = config.lambda_1 * l1 + config.lambda_vgg * vgg + config.lambda_adv * adv
+            g_frames[i] = (config.lambda_1 * g_l1 + config.lambda_vgg * g_vgg
+                           + config.lambda_adv * g_adv)
         else:
             loss, g_frames[i] = l1, g_l1
         total += loss
@@ -155,12 +153,11 @@ def _discriminator_step(disc, disc_state, disc_vjps):
     adamax_step(disc_state, disc.params, acc)
 
 
-def evaluate(model, triplets, wmode=WarpMode.ADACOF, occlusion_enabled=True):
+def evaluate(model, triplets):
     """Per-triplet (psnr, ssim, ie) rows; triplets may be any iterable."""
     rows = []
     for t in triplets:
-        blended, _, _, _ = infer(model, t.first.pixels, t.last.pixels,
-                                 wmode, occlusion_enabled)
+        blended, _, _, _ = infer(model, t.first.pixels, t.last.pixels)
         gt = t.middle.pixels
         rows.append((metrics.psnr(blended, gt), metrics.ssim(blended, gt),
                      metrics.interpolation_error(blended, gt)))
@@ -183,7 +180,6 @@ def train(config, out_dir, log=None):
     mirror the metrics CSV: epoch, phase, loss, val_psnr, val_ssim, plus
     per-quarter mean losses.
     """
-    wmode, occlusion_enabled, model_cfg = config.resolve()
     names = read_manifest(config.dataset_dir)
     n_val = max(1, int(round(len(names) * config.val_fraction)))
     n_train = len(names) - n_val
@@ -195,8 +191,7 @@ def train(config, out_dir, log=None):
     val_set = triplets[-n_val:]
 
     os.makedirs(out_dir, exist_ok=True)
-    ckpt_extra = {"warp_mode": wmode.value, "occlusion_enabled": occlusion_enabled}
-    model = SynthModel(model_cfg)
+    model = SynthModel(config.model_config())
     state = AdaMaxState(lr=config.lr)
     schedule = Schedule(initial_lr=config.lr, period=config.schedule_period)
     rng = np.random.default_rng(config.seed)
@@ -208,16 +203,14 @@ def train(config, out_dir, log=None):
     extractor = disc = disc_state = None
     phases = [("distortion", config.epochs)]
     if config.mode == "perception" and config.adv_epochs > 0:
-        extractor = GradientBankExtractor()
-        disc = Discriminator(seed=config.seed + 1)
-        disc_state = AdaMaxState(lr=config.lr)
         phases.append(("perception", config.adv_epochs))
 
     epoch_index = 0
     for phase, n_epochs in phases:
-        phase_cfg = LossConfig(lambda_1=config.lambda_1,
-                               lambda_vgg=config.lambda_vgg,
-                               lambda_adv=config.lambda_adv, mode=phase)
+        if phase == "perception":
+            extractor = GradientBankExtractor()
+            disc = Discriminator(seed=config.seed + 1)
+            disc_state = AdaMaxState(lr=config.lr)
         for _ in range(n_epochs):
             state.lr = schedule.lr_at(epoch_index)
             order = rng.permutation(len(train_set))
@@ -227,20 +220,18 @@ def train(config, out_dir, log=None):
                 batch = [_augmented(train_set[i], rng, config.crop,
                                     config.augment) for i in idx]
                 loss, grads, disc_vjps = _batch_losses_and_grads(
-                    model, batch, wmode, occlusion_enabled, phase_cfg,
-                    extractor, disc)
+                    model, batch, config, extractor, disc)
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"loss became {loss} at epoch "
                                              f"{epoch_index}")
                 adamax_step(state, model.params, grads)
-                if phase == "perception":
+                if disc is not None:
                     _discriminator_step(disc, disc_state, disc_vjps)
                 step_losses.append(loss)
             quarters = [float(np.mean(q)) for q in
                         np.array_split(np.asarray(step_losses),
                                        min(4, len(step_losses)))]
-            val_psnr, val_ssim, _ = mean_metrics(
-                evaluate(model, val_set, wmode, occlusion_enabled))
+            val_psnr, val_ssim, _ = mean_metrics(evaluate(model, val_set))
             row = {"epoch": epoch_index, "phase": phase,
                    "loss": float(np.mean(step_losses)),
                    "val_psnr": val_psnr, "val_ssim": val_ssim,
@@ -250,13 +241,13 @@ def train(config, out_dir, log=None):
                 f.write(f"{epoch_index},{phase},{row['loss']:.6g},"
                         f"{val_psnr:.6g},{val_ssim:.6g}\n")
             save_checkpoint(os.path.join(out_dir, f"ckpt_epoch{epoch_index:03d}.ackp"),
-                            model, extra={**ckpt_extra, "epoch": epoch_index})
+                            model, extra={"epoch": epoch_index})
             if log:
                 log(f"epoch {epoch_index} [{phase}] loss {row['loss']:.5f} "
                     f"val_psnr {val_psnr:.3f} val_ssim {val_ssim:.4f}")
             epoch_index += 1
     save_checkpoint(os.path.join(out_dir, "ckpt_final.ackp"), model,
-                    extra={**ckpt_extra, "epoch": epoch_index - 1})
+                    extra={"epoch": epoch_index - 1})
     return model, history
 
 

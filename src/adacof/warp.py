@@ -2,6 +2,8 @@
 
 Forward evaluation, analytic vector-Jacobian products, occlusion blending,
 reduced-degree-of-freedom operator modes, and the ".acof" parameter dump.
+WarpMode names the paper's ablation: the full operator, its flow-only,
+kernel-only, shared-weight and shift-then-kernel cases, and no occlusion.
 
 Per output pixel (i, j) the operator sums F*F bilinear samples of the input
 at (i + d*k - d*(F-1)/2 + alpha[k,l], j + d*l - d*(F-1)/2 + beta[k,l]),
@@ -35,6 +37,7 @@ class WarpMode(enum.Enum):
     KERNEL_ONLY = "kb"
     SHARED_WEIGHT = "ws"
     SDC = "sdc"
+    NO_OCCLUSION = "woocc"  # adacof maps; the two warps are averaged, not blended
 
 
 @dataclass
@@ -242,7 +245,7 @@ def project_mode(mode, weights, alpha, beta):
     """
     n = weights.shape[-3]
     hw = weights.shape[-2] * weights.shape[-1]
-    if mode in (WarpMode.ADACOF, WarpMode.FLOW_ONLY):
+    if mode in (WarpMode.ADACOF, WarpMode.FLOW_ONLY, WarpMode.NO_OCCLUSION):
         return (weights, alpha, beta), lambda gw, ga, gb: (gw, ga, gb)
     if mode is WarpMode.KERNEL_ONLY:
         zero = np.zeros_like(alpha)

@@ -163,6 +163,20 @@ def test_warp_rejects_a_dump_of_the_wrong_length(tmp_path, capsys, size):
     assert f"the file has {actual} bytes" in err
 
 
+def test_warp_names_an_image_and_a_dump_of_different_sizes(tmp_path, capsys):
+    src = tmp_path / "in.ppm"
+    write_ppm(src, Frame(np.zeros((3, 8, 12))))
+    params = tmp_path / "id.acof"
+    save_acof(params, identity_params(8, 8))
+    assert main(["warp", "--params", str(params), "--input", str(src),
+                 "--out", str(tmp_path / "o.ppm")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: image and parameter maps differ in size: {src} is 8x12, "
+            f"{params} is 8x8") in captured.err
+    assert not (tmp_path / "o.ppm").exists()
+
+
 def test_warp_rejects_an_occlusion_map_outside_unit_range(tmp_path, capsys):
     src = tmp_path / "in.ppm"
     write_ppm(src, Frame(np.zeros((3, 8, 8))))
@@ -229,14 +243,12 @@ def _rewrite_config_block(src, dst, edit):
      "config key 'depth' must be int, got '2'"),
     (lambda text: "[1]", "expected a JSON object, got list"),
     (lambda text: text[:-1], "config block is not valid JSON"),
-    (lambda text: json.dumps({**json.loads(text), "extra": [1]}),
-     "config key 'extra' must be a JSON object, got list"),
-    (lambda text: json.dumps({**json.loads(text), "extra": {"warp_mode": "zzz"}}),
-     "extra key 'warp_mode' must be one of adacof, fb, kb, ws, sdc, got 'zzz'"),
-    (lambda text: json.dumps({**json.loads(text), "extra": {"occlusion_enabled": 1}}),
-     "extra key 'occlusion_enabled' must be bool, got 1"),
-], ids=["unknown-key", "wrong-type", "not-an-object", "not-json", "extra-not-an-object",
-        "extra-unknown-warp-mode", "extra-occlusion-not-bool"])
+    (lambda text: json.dumps({**json.loads(text), "warp_mode": "zzz"}),
+     "warp_mode must be one of adacof, fb, kb, ws, sdc, woocc, got 'zzz'"),
+    (lambda text: json.dumps({**json.loads(text), "warp_mode": 1}),
+     "config key 'warp_mode' must be str, got 1"),
+], ids=["unknown-key", "wrong-type", "not-an-object", "not-json", "unknown-warp-mode",
+        "warp-mode-not-a-string"])
 def test_checkpoint_config_block_names_the_bad_key(dataset, trained, tmp_path, capsys,
                                                    edit, message):
     ckpt = tmp_path / "bad.ackp"
@@ -258,8 +270,16 @@ def test_checkpoint_config_block_names_the_bad_key(dataset, trained, tmp_path, c
     ({"crop": 3}, False, "crop must be 0 or a positive multiple of 2^depth = 2, got 3"),
     ({"batch": 0}, False, "batch must be >= 1, got 0"),
     ({"epochs": 0}, False, "epochs must be >= 1, got 0"),
+    ({"F": 0}, False, "kernel_size must be >= 1, got 0"),
+    ({"widths": [4, 8]}, False,
+     "widths must be one positive width per encoder level (depth 1), got [4, 8]"),
+    ({"val_fraction": 1.5}, False, "val_fraction must be between 0 and 1, got 1.5"),
+    ({"schedule_period": 0}, False, "schedule_period must be >= 1, got 0"),
+    ({"lambda_adv": -1}, False, "lambda_adv must be >= 0, got -1"),
 ], ids=["unknown-key", "misspelt-mode", "unknown-warp-mode", "not-json", "negative-lr",
-        "crop-not-a-multiple", "zero-batch", "zero-epochs"])
+        "crop-not-a-multiple", "zero-batch", "zero-epochs", "zero-kernel-size",
+        "widths-not-depth", "val-fraction-above-1", "zero-schedule-period",
+        "negative-lambda"])
 def test_training_config_names_the_bad_key(dataset, tmp_path, capsys, change, cut, message):
     cfg = tmp_path / "cfg.json"
     text = json.dumps({"dataset_dir": dataset, "F": 3, "depth": 1,
@@ -314,7 +334,9 @@ def test_bad_thread_count_is_a_usage_error(capsys, argv, value):
 @pytest.mark.parametrize("argv, message", [
     (["--size", "12"], "argument --size: must be HxW with positive integers, got '12'"),
     (["--F", "0"], "argument --F: must be a positive integer, got '0'"),
-], ids=["size", "F"])
+    (["--d", "-1"], "argument --d: must be an integer >= 0, got '-1'"),
+    (["--reps", "0"], "argument --reps: must be a positive integer, got '0'"),
+], ids=["size", "F", "d", "reps"])
 def test_bad_bench_argument_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(["bench", *argv])
@@ -322,6 +344,22 @@ def test_bad_bench_argument_is_a_usage_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-disp", "-1"], "argument --max-disp: must be a finite number >= 0, got '-1'"),
+    (["--max-disp", "inf"], "argument --max-disp: must be a finite number >= 0, got 'inf'"),
+    (["--count", "0"], "argument --count: must be a positive integer, got '0'"),
+    (["--size", "8"], "argument --size: must be an integer >= 16, got '8'"),
+], ids=["max-disp", "max-disp-inf", "count", "size"])
+def test_bad_gen_data_argument_is_a_usage_error(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--out", str(tmp_path / "data"), *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not (tmp_path / "data").exists()
 
 
 def test_interp_names_frames_of_different_sizes(dataset, trained, tmp_path, capsys):

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from adacof.losses import (Discriminator, GradientBankExtractor, LossConfig,
-                           charbonnier_l1, discriminator_loss,
-                           generator_entropy_loss, perceptual_loss)
+from adacof.losses import (Discriminator, GradientBankExtractor, charbonnier_l1,
+                           discriminator_loss, generator_entropy_loss, perceptual_loss)
+from adacof.train import TrainConfig
 
 
 def test_charbonnier_of_equal_inputs_is_epsilon():
@@ -80,10 +80,10 @@ def test_perceptual_loss_with_bank_detects_structure_difference():
 
 
 def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(lambda_adv=-1.0)
-    with pytest.raises(ValueError):
-        LossConfig(mode="other")
+    with pytest.raises(ValueError, match="lambda_adv must be >= 0, got -1.0"):
+        TrainConfig(lambda_adv=-1.0)
+    with pytest.raises(ValueError, match="mode must be 'distortion' or 'perception'"):
+        TrainConfig(mode="other")
 
 
 def test_discriminator_output_and_gradients():

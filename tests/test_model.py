@@ -91,34 +91,30 @@ def test_input_validation():
 def test_sample_params_validate():
     model = SynthModel(_tiny_config())
     x = np.random.default_rng(3).random((1, 6, 16, 16))
-    _, (pf, pb), _ = synthesize(model.config, model.forward(x)[0], x, WarpMode.ADACOF, True)
+    _, (pf, pb), _ = synthesize(model.config, model.forward(x)[0], x)
     pf.validate()
     pb.validate()
     assert pf.weights.shape == (1, 9, 16, 16)
 
 
-def _random_model(seed):
-    model = SynthModel(_tiny_config())
+def _random_model(seed, **kw):
+    model = SynthModel(_tiny_config(**kw))
     rng = np.random.default_rng(seed)
     for name in model.params:
         model.params[name] = rng.normal(0, 0.3, size=model.params[name].shape)
     return model, rng.random((3, 6, 16, 16))
 
 
-# warp_mode names as TrainConfig takes them: 'woocc' is adacof unblended
-MODES = {"adacof": (WarpMode.ADACOF, True), "fb": (WarpMode.FLOW_ONLY, True),
-         "kb": (WarpMode.KERNEL_ONLY, True), "ws": (WarpMode.SHARED_WEIGHT, True),
-         "sdc": (WarpMode.SDC, True), "woocc": (WarpMode.ADACOF, False)}
-
-
-@pytest.mark.parametrize("name", sorted(MODES))
-def test_synthesize_matches_per_pair_composition(name):
+@pytest.mark.parametrize("mode", list(WarpMode), ids=lambda m: m.value)
+def test_synthesize_matches_per_pair_composition(mode):
     """Frames, warp params and head gradients equal the per-pair
-    project_mode -> forward_warp x2 -> occlusion_blend composition."""
-    wmode, occ_on = MODES[name]
-    model, x = _random_model(6)
+    project_mode -> forward_warp x2 -> occlusion_blend composition for the
+    config's warp_mode; 'woocc' averages the two warps and gives the occ
+    head no gradient."""
+    occ_on = mode is not WarpMode.NO_OCCLUSION
+    model, x = _random_model(6, warp_mode=mode.value)
     out, _ = model.forward(x)
-    frames, synth_params, synth_vjp = synthesize(model.config, out, x, wmode, occ_on)
+    frames, synth_params, synth_vjp = synthesize(model.config, out, x)
     upstream = np.random.default_rng(8).normal(size=frames.shape)
     head_grads = synth_vjp(upstream)
     assert frames.shape == (3, 3, 16, 16)
@@ -127,7 +123,7 @@ def test_synthesize_matches_per_pair_composition(name):
         images = (x[i, :3], x[i, 3:])
         params, vjps = [], []
         for names, got_p in zip(directions, (p.at(i) for p in synth_params)):
-            (w, a, b), vjp = project_mode(wmode, *(getattr(out, n)[i] for n in names))
+            (w, a, b), vjp = project_mode(mode, *(getattr(out, n)[i] for n in names))
             assert all(np.array_equal(got, want) for got, want in
                        ((got_p.weights, w), (got_p.alpha, a), (got_p.beta, b)))
             params.append(WarpParams(w, a, b, 3, 1))
@@ -135,6 +131,9 @@ def test_synthesize_matches_per_pair_composition(name):
         warped = [forward_warp(img, p) for img, p in zip(images, params)]
         assert np.array_equal(frames[i], occlusion_blend(*warped, out.occ[i],
                                                          enabled=occ_on))
+        if not occ_on:
+            assert np.array_equal(frames[i], 0.5 * (warped[0] + warped[1]))
+            assert not head_grads["occ"][i].any()
         *g_warped, g_occ = occlusion_blend_vjp(*warped, out.occ[i], upstream[i],
                                                enabled=occ_on)
         want = []
@@ -147,8 +146,8 @@ def test_synthesize_matches_per_pair_composition(name):
 def test_synthesize_threads_are_bit_identical():
     model, x = _random_model(7)
     out, _ = model.forward(x)
-    serial, _, _ = synthesize(model.config, out, x, WarpMode.ADACOF, True, threads=1)
-    threaded, _, _ = synthesize(model.config, out, x, WarpMode.ADACOF, True, threads=2)
+    serial, _, _ = synthesize(model.config, out, x, threads=1)
+    threaded, _, _ = synthesize(model.config, out, x, threads=2)
     assert np.array_equal(serial, threaded)
 
 
@@ -240,18 +239,19 @@ def test_infer_does_not_hold_the_whole_im2col():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    cfg = _tiny_config(seed=5)
+    """The config, warp mode included, survives; extra is metadata nothing
+    reads, even where it names another mode."""
+    cfg = _tiny_config(seed=5, warp_mode="kb")
     model = SynthModel(cfg)
     rng = np.random.default_rng(5)
     for name in model.params:
         model.params[name] = np.round(rng.normal(0, 0.3,
                                       model.params[name].shape), 3)
     path = tmp_path / "m.ackp"
-    save_checkpoint(path, model, extra={"warp_mode": "kb",
-                                        "occlusion_enabled": False})
-    back, extra = load_checkpoint(path)
-    assert extra == {"warp_mode": "kb", "occlusion_enabled": False}
-    assert back.config.to_dict() == cfg.to_dict()
+    save_checkpoint(path, model, extra={"warp_mode": "adacof", "occlusion_enabled": True})
+    back = load_checkpoint(path)
+    assert back.config.warp_mode == "kb"
+    assert back.config == cfg
     for name in model.params:
         assert np.abs(back.params[name] - model.params[name]).max() < 1e-6
 
@@ -270,7 +270,7 @@ def test_checkpoint_of_the_wrong_length_names_file(tmp_path, cut):
             f"checkpoint is cut short: {len(data[:cut])} bytes") in msg
 
 
-@pytest.mark.parametrize("case", ["version1", "missing", "wrong-shape", "extra"])
+@pytest.mark.parametrize("case", ["version1", "version2", "missing", "wrong-shape", "extra"])
 def test_checkpoint_with_the_wrong_tensors_names_file(tmp_path, case):
     model = SynthModel(_tiny_config())
     if case == "missing":
@@ -281,15 +281,16 @@ def test_checkpoint_with_the_wrong_tensors_names_file(tmp_path, case):
         model.params["head.occ.w"] = np.zeros((1, 6, 3, 3))
     path = tmp_path / "m.ackp"
     save_checkpoint(path, model)
-    if case == "version1":
+    if case.startswith("version"):
         data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", 1)
+        data[4:8] = struct.pack("<I", int(case[-1]))
         path.write_bytes(bytes(data))
     with pytest.raises(ValueError) as exc:
         load_checkpoint(path)
     msg = str(exc.value)
     assert str(path) in msg
-    assert {"version1": "checkpoint version 1, only version 2 is supported",
+    assert {"version1": "checkpoint version 1, only version 3 is supported",
+            "version2": "checkpoint version 2, only version 3 is supported",
             "missing": "tensor head.b is absent in the file but (55,) in its model config",
             "wrong-shape": "tensor dec0.w is (8, 14, 3, 3) in the file but (6, 14, 3, 3)",
             "extra": "tensor head.occ.w is (1, 6, 3, 3) in the file but absent"}[case] in msg

@@ -2,14 +2,15 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from adacof.cli import main
 from adacof.datagen import load_triplet, read_manifest, write_dataset
-from adacof.model import load_checkpoint
+from adacof.model import SynthModel, load_checkpoint
 from adacof.train import TrainConfig, evaluate, infer, mean_metrics, train
-from adacof.warp import WarpMode
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +44,8 @@ def test_train_writes_metrics_and_checkpoints(tiny_dataset, tmp_path):
 def test_final_checkpoint_reproduces_model(tiny_dataset, tmp_path):
     out = tmp_path / "run"
     model, _ = train(_tiny_config(tiny_dataset), str(out))
-    back, extra = load_checkpoint(out / "ckpt_final.ackp")
-    assert extra["warp_mode"] == "adacof"
-    assert extra["occlusion_enabled"] is True
+    back = load_checkpoint(out / "ckpt_final.ackp")
+    assert back.config == model.config and back.config.warp_mode == "adacof"
     t = load_triplet(os.path.join(tiny_dataset, "0000"))
     a, _, _, _ = infer(model, t.first.pixels, t.last.pixels)
     b, _, _, _ = infer(back, t.first.pixels, t.last.pixels)
@@ -74,12 +74,12 @@ def test_zero_lr_keeps_untrained_baseline(tiny_dataset, tmp_path):
 
 def test_flow_only_mode_forces_single_tap(tiny_dataset, tmp_path):
     cfg = _tiny_config(tiny_dataset, warp_mode="fb", epochs=1)
-    wmode, occ_on, model_cfg = cfg.resolve()
-    assert wmode is WarpMode.FLOW_ONLY
+    model_cfg = cfg.model_config()
+    assert model_cfg.warp_mode == "fb"
     assert model_cfg.kernel_size == 1 and model_cfg.dilation == 0
     model, _ = train(cfg, str(tmp_path / "run"))
-    back, extra = load_checkpoint(tmp_path / "run" / "ckpt_final.ackp")
-    assert extra["warp_mode"] == "fb"
+    back = load_checkpoint(tmp_path / "run" / "ckpt_final.ackp")
+    assert back.config.warp_mode == "fb"
     assert back.config.kernel_size == 1
 
 
@@ -91,9 +91,9 @@ def test_constrained_modes_train(tiny_dataset, tmp_path, mode):
 
 
 def test_woocc_mode_disables_blending(tiny_dataset):
-    cfg = _tiny_config(tiny_dataset, warp_mode="woocc")
-    wmode, occ_on, _ = cfg.resolve()
-    assert wmode is WarpMode.ADACOF and occ_on is False
+    model_cfg = _tiny_config(tiny_dataset, warp_mode="woocc").model_config()
+    assert model_cfg.warp_mode == "woocc"
+    assert model_cfg.kernel_size == 3 and model_cfg.dilation == 1
 
 
 def test_perception_phase_runs(tiny_dataset, tmp_path):
@@ -122,3 +122,21 @@ def test_evaluate_reports_sane_metrics(tiny_dataset, tmp_path):
     assert 10.0 < p <= 100.0
     assert 0.0 < s <= 1.0
     assert ie > 0.0
+
+
+@pytest.mark.parametrize("mode", ["kb", "ws"])
+def test_eval_of_a_checkpoint_warps_in_its_mode(tiny_dataset, tmp_path, capsys, mode):
+    """adacof eval takes the mode from the checkpoint: its rows are evaluate()'s
+    on the in-memory model."""
+    model, _ = train(_tiny_config(tiny_dataset, warp_mode=mode, epochs=1), str(tmp_path))
+    assert main(["eval", "--ckpt", str(tmp_path / "ckpt_final.ackp"),
+                 "--data", tiny_dataset]) == 0
+    got = [[float(v) for v in line.split(",")[1:]]
+           for line in capsys.readouterr().out.splitlines()[1:]]
+    triplets = [load_triplet(os.path.join(tiny_dataset, n)) for n in read_manifest(tiny_dataset)]
+    rows = evaluate(model, triplets)
+    # the report prints 6 significant digits of a float32-stored model
+    np.testing.assert_allclose(got, rows + [mean_metrics(rows)], rtol=1e-5)
+    if mode == "ws":  # a kb model's offset heads never leave zero: it warps as adacof
+        as_adacof = SynthModel(replace(model.config, warp_mode="adacof"), model.params)
+        assert not np.allclose(evaluate(as_adacof, triplets), rows, rtol=1e-5)
