@@ -45,6 +45,7 @@ def _checked(convert, holds, want):
 
 
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda n: n >= 0, "an integer >= 0")
 
 
 def _frame_size(text):
@@ -225,7 +226,7 @@ def build_parser():
         int, lambda n: n >= MIN_SIZE, f"an integer >= {MIN_SIZE}"))
     p.add_argument("--max-disp", default=3.0, type=_checked(
         float, lambda x: 0.0 <= x < float("inf"), "a finite number >= 0"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train an interpolation model")
@@ -251,7 +252,7 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference verification")
     p.add_argument("--module", choices=["adacof", "network", "losses"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("visualize", help="render flow statistics maps")
@@ -276,11 +277,11 @@ def build_parser():
     p = sub.add_parser("bench", help="warp throughput report")
     p.add_argument("--size", default="256x256", type=_frame_size)
     p.add_argument("--F", type=_positive_int, default=5)
-    p.add_argument("--d", type=_checked(int, lambda n: n >= 0, "an integer >= 0"), default=1)
+    p.add_argument("--d", type=_nonnegative_int, default=1)
     p.add_argument("--threads", default=str(threads),
                    type=lambda text: [_positive_int(t) for t in text.split(",")])
     p.add_argument("--reps", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("eval", help="PSNR/SSIM/IE report on a dataset")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Frame, sample_grid
 from .ppm import read_ppm, write_ppm
-from .warp import WarpMode, load_acof, make_mode_params, save_acof
+from .warp import WarpParams, load_acof, save_acof
 
 KINDS = ("global_translation", "rotation", "occluder")
 MIN_SIZE = 16  # the smallest frame side generate_triplet renders
@@ -221,8 +221,9 @@ def save_triplet(dirpath, triplet):
     os.makedirs(dirpath, exist_ok=True)
     for i, frame in enumerate((triplet.first, triplet.middle, triplet.last)):
         write_ppm(os.path.join(dirpath, f"frame{i}.ppm"), frame)
-    if triplet.flow is not None:
-        params = make_mode_params(WarpMode.FLOW_ONLY, flow=triplet.flow)
+    if triplet.flow is not None:  # the truth as an F=1 warp: one flow, weight 1
+        flow = triplet.flow
+        params = WarpParams(np.ones((1,) + flow.shape[1:]), flow[0:1], flow[1:2], kernel_size=1)
         save_acof(os.path.join(dirpath, "truth.acof"), params, triplet.occlusion)
 
 

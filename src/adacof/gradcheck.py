@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .losses import (Discriminator, GradientBankExtractor, charbonnier_l1,
-                     discriminator_loss, generator_entropy_loss, perceptual_loss)
+from .losses import (Discriminator, charbonnier_l1, discriminator_loss,
+                     generator_entropy_loss, perceptual_loss)
 from .model import ModelConfig, SynthModel, synthesize
 from .warp import (WarpParams, _tap_coords, backward_warp_image_vjp, backward_warp_vjp,
                    forward_warp, occlusion_blend, occlusion_blend_vjp)
@@ -149,14 +149,12 @@ def check_losses(seed=0):
     worst = max(worst, block_rel_err(
         ga, fd_gradient(lambda z: charbonnier_l1(z, b)[0], a.copy(), h=1e-6)))
 
-    extractor = GradientBankExtractor()
     out = rng.random((3, 8, 8))
     gt = rng.random((3, 8, 8))
-    _, g_out = perceptual_loss(out, gt, extractor)
+    _, g_out = perceptual_loss(out, gt)
     # small step: the filter-bank ReLU kinks corrupt wider stencils
     worst = max(worst, block_rel_err(
-        g_out, fd_gradient(lambda z: perceptual_loss(z, gt, extractor)[0],
-                           out.copy(), h=1e-5)))
+        g_out, fd_gradient(lambda z: perceptual_loss(z, gt)[0], out.copy(), h=1e-5)))
 
     c = rng.uniform(0.1, 0.9, size=2)
     for loss_fn in (discriminator_loss, generator_entropy_loss):

@@ -1,9 +1,9 @@
 """Training objectives: smooth L1, feature-space distance, and the
 dual-frame adversarial pair.
 
-The feature extractor for the perceptual term is pluggable; the default is
-a fixed 8-orientation gradient filter bank (no pretrained weights), which
-keeps the loss a deterministic feature-space distance.
+The perceptual term compares features of a fixed 8-orientation gradient
+filter bank (no pretrained weights), which keeps the loss a deterministic
+feature-space distance.
 """
 
 from __future__ import annotations
@@ -35,43 +35,37 @@ def charbonnier_l1(a, b):
     return loss, grad_a
 
 
-class GradientBankExtractor:
-    """Fixed 8-orientation 3x3 gradient filter bank + ReLU + 2x avg pool.
-
-    Each input channel is filtered with oriented first-derivative kernels
-    (no learned weights), giving a deterministic feature map whose distance
-    plays the perceptual-loss role.
-    """
-
-    def __init__(self):
-        kx = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64) / 8.0
-        ky = kx.T
-        angles = np.arange(8) * (2.0 * np.pi / 8)
-        self.filters = np.stack([np.cos(t) * kx + np.sin(t) * ky for t in angles])
-
-    def __call__(self, image):
-        image = np.asarray(image, dtype=np.float64)
-        c, h, w = image.shape
-        nf = len(self.filters)
-        # depthwise application via a block-structured kernel
-        kernel = np.zeros((c * nf, c, 3, 3))
-        for ch in range(c):
-            kernel[ch * nf:(ch + 1) * nf, ch] = self.filters
-        y, bw_conv = nn.conv3x3(image[None], kernel, np.zeros(c * nf))
-        y, bw_relu = nn.relu(y)
-        y, bw_pool = nn.avgpool2(y)
-
-        def vjp(g):
-            gx, _, _ = bw_conv(bw_relu(bw_pool(g[None] if g.ndim == 3 else g)))
-            return gx[0]
-
-        return y[0], vjp
+_SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64) / 8.0
+# eight oriented first-derivative 3x3 filters, cos(t) * d/dx + sin(t) * d/dy
+GRADIENT_BANK = np.stack([np.cos(t) * _SOBEL_X + np.sin(t) * _SOBEL_X.T
+                          for t in np.arange(8) * (2.0 * np.pi / 8)])
 
 
-def perceptual_loss(out, gt, extractor):
-    """Root-mean-square feature-space distance; returns (loss, grad_out)."""
-    f_out, vjp = extractor(np.asarray(out, dtype=np.float64))
-    f_gt, _ = extractor(np.asarray(gt, dtype=np.float64))
+def gradient_bank_features(image):
+    """GRADIENT_BANK on each channel of a (C, H, W) image, then ReLU and a 2x
+    average pool: (C * 8, H / 2, W / 2) features and their vjp."""
+    image = np.asarray(image, dtype=np.float64)
+    c, nf = image.shape[0], len(GRADIENT_BANK)
+    # depthwise application via a block-structured kernel
+    kernel = np.zeros((c * nf, c, 3, 3))
+    for ch in range(c):
+        kernel[ch * nf:(ch + 1) * nf, ch] = GRADIENT_BANK
+    y, bw_conv = nn.conv3x3(image[None], kernel, np.zeros(c * nf))
+    y, bw_relu = nn.relu(y)
+    y, bw_pool = nn.avgpool2(y)
+
+    def vjp(g):
+        gx, _, _ = bw_conv(bw_relu(bw_pool(g[None] if g.ndim == 3 else g)))
+        return gx[0]
+
+    return y[0], vjp
+
+
+def perceptual_loss(out, gt):
+    """Root-mean-square distance of the gradient-bank features; returns
+    (loss, grad_out)."""
+    f_out, vjp = gradient_bank_features(np.asarray(out, dtype=np.float64))
+    f_gt, _ = gradient_bank_features(np.asarray(gt, dtype=np.float64))
     diff = f_out - f_gt
     msq = float((diff * diff).mean())
     loss = math.sqrt(msq)

@@ -45,6 +45,8 @@ class ModelConfig:
         if self.warp_mode not in modes:
             raise ValueError(f"warp_mode must be one of {', '.join(modes)}, "
                              f"got {self.warp_mode!r}")
+        if self.warp_mode == WarpMode.FLOW_ONLY.value:  # one flow: a single tap
+            self.kernel_size, self.dilation = 1, 0
         if self.depth < 1 or len(self.widths) != self.depth or min(self.widths) <= 0:
             raise ValueError(f"widths must be one positive width per encoder level "
                              f"(depth {self.depth}), got {list(self.widths)}")
@@ -136,24 +138,27 @@ def synthesize(config, out, x, threads=1):
 
     Projects the maps onto config.warp_mode, warps the first frames forward
     and the last backward (one batched forward_warp each) and blends with
-    out.occ, or averages the two under 'woocc'. Returns the (B, 3, H, W)
-    frames, the (forward, backward) WarpParams, and a vjp from frame
-    gradients to the head gradients SynthModel.backward takes.
+    out.occ, or under 'woocc' with a constant 1/2 map, which gives the occ
+    head no gradient. Returns the (B, 3, H, W) frames, the (forward,
+    backward) WarpParams, and a vjp from frame gradients to the head
+    gradients SynthModel.backward takes.
     """
     mode = WarpMode(config.warp_mode)
-    blend = mode is not WarpMode.NO_OCCLUSION
+    occluded = mode is not WarpMode.NO_OCCLUSION
     (wf, af, bf), vjp_f = project_mode(mode, out.weight_f, out.alpha_f, out.beta_f)
     (wb, ab, bb), vjp_b = project_mode(mode, out.weight_b, out.alpha_b, out.beta_b)
     pf = WarpParams(wf, af, bf, config.kernel_size, config.dilation)
     pb = WarpParams(wb, ab, bb, config.kernel_size, config.dilation)
     fwd = forward_warp(x[:, :3], pf, threads=threads)
     bwd = forward_warp(x[:, 3:], pb, threads=threads)
-    frames = occlusion_blend(fwd, bwd, out.occ, enabled=blend)
+    v = out.occ if occluded else np.full_like(out.occ, 0.5)
+    frames = occlusion_blend(fwd, bwd, v)
 
     def vjp(upstream):
-        gf, gb, gv = occlusion_blend_vjp(fwd, bwd, out.occ, upstream, enabled=blend)
+        gf, gb, gv = occlusion_blend_vjp(fwd, bwd, v, upstream)
         grads = (*vjp_f(*backward_warp_vjp(x[:, :3], pf, gf)),
-                 *vjp_b(*backward_warp_vjp(x[:, 3:], pb, gb)), gv)
+                 *vjp_b(*backward_warp_vjp(x[:, 3:], pb, gb)),
+                 gv if occluded else np.zeros_like(gv))
         return dict(zip(("weight_f", "alpha_f", "beta_f", "weight_b", "alpha_b", "beta_b",
                          "occ"), grads))
 
@@ -320,7 +325,11 @@ def load_checkpoint(path):
         cfg.pop("extra", None)
     params = {}
     for _ in range(uints(1)[0]):
-        name = take(uints(1)[0]).decode()
+        raw_name = take(uints(1)[0])
+        try:
+            name = raw_name.decode()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: tensor name {raw_name!r} is not UTF-8") from None
         shape = uints(uints(1)[0])
         raw = take(4 * int(np.prod(shape)))
         params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)

@@ -16,12 +16,12 @@ import numpy as np
 from . import metrics
 from .core import config_from_dict
 from .datagen import augment, load_triplet, read_manifest
-from .losses import (Discriminator, GradientBankExtractor, charbonnier_l1,
-                     discriminator_loss, generator_entropy_loss, perceptual_loss)
+from .losses import (Discriminator, charbonnier_l1, discriminator_loss,
+                     generator_entropy_loss, perceptual_loss)
 from .model import ModelConfig, SynthModel, save_checkpoint, synthesize
 from .optim import AdaMaxState, Schedule, adamax_step
 # forward_warp is unused here: perfbench's tracer test reads this module's binding
-from .warp import WarpMode, forward_warp  # noqa: F401
+from .warp import forward_warp  # noqa: F401
 
 # short names accepted for TrainConfig fields, as in the paper's notation
 KEY_ALIASES = {"F": "kernel_size", "d": "dilation"}
@@ -84,11 +84,10 @@ class TrainConfig:
         return config_from_dict(cls, raw, path)
 
     def model_config(self):
-        """The network this config trains; flow-only ('fb') trains with F=1, d=0."""
-        flow_only = self.warp_mode == WarpMode.FLOW_ONLY.value
-        return ModelConfig(kernel_size=1 if flow_only else self.kernel_size,
-                           dilation=0 if flow_only else self.dilation, depth=self.depth,
-                           widths=self.widths, seed=self.seed, warp_mode=self.warp_mode)
+        """The network this config trains."""
+        return ModelConfig(kernel_size=self.kernel_size, dilation=self.dilation,
+                           depth=self.depth, widths=self.widths, seed=self.seed,
+                           warp_mode=self.warp_mode)
 
 
 def infer(model, first, last, threads=1):
@@ -100,7 +99,7 @@ def infer(model, first, last, threads=1):
     return frames[0], pf.at(0), pb.at(0), out.occ[0]
 
 
-def _batch_losses_and_grads(model, batch, config, extractor=None, disc=None):
+def _batch_losses_and_grads(model, batch, config, disc=None):
     """Loss and parameter gradients for one batch of triplets.
 
     The loss is the Charbonnier distance, or, given the classifier disc, the
@@ -118,7 +117,7 @@ def _batch_losses_and_grads(model, batch, config, extractor=None, disc=None):
         gt = triplet.middle.pixels
         l1, g_l1 = charbonnier_l1(blended, gt)
         if disc is not None:
-            vgg, g_vgg = perceptual_loss(blended, gt, extractor)
+            vgg, g_vgg = perceptual_loss(blended, gt)
             c1, vjp1 = disc.forward(np.concatenate([triplet.first.pixels, blended]))
             c2, vjp2 = disc.forward(np.concatenate([blended, triplet.last.pixels]))
             disc_vjps.append((c1, vjp1, c2, vjp2))
@@ -200,7 +199,7 @@ def train(config, out_dir, log=None):
     with open(csv_path, "w") as f:
         f.write("epoch,phase,loss,val_psnr,val_ssim\n")
 
-    extractor = disc = disc_state = None
+    disc = disc_state = None
     phases = [("distortion", config.epochs)]
     if config.mode == "perception" and config.adv_epochs > 0:
         phases.append(("perception", config.adv_epochs))
@@ -208,7 +207,6 @@ def train(config, out_dir, log=None):
     epoch_index = 0
     for phase, n_epochs in phases:
         if phase == "perception":
-            extractor = GradientBankExtractor()
             disc = Discriminator(seed=config.seed + 1)
             disc_state = AdaMaxState(lr=config.lr)
         for _ in range(n_epochs):
@@ -217,10 +215,8 @@ def train(config, out_dir, log=None):
             step_losses = []
             for start in range(0, len(order) - config.batch + 1, config.batch):
                 idx = order[start:start + config.batch]
-                batch = [_augmented(train_set[i], rng, config.crop,
-                                    config.augment) for i in idx]
-                loss, grads, disc_vjps = _batch_losses_and_grads(
-                    model, batch, config, extractor, disc)
+                batch = [_augmented(train_set[i], rng, config) for i in idx]
+                loss, grads, disc_vjps = _batch_losses_and_grads(model, batch, config, disc)
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"loss became {loss} at epoch "
                                              f"{epoch_index}")
@@ -251,8 +247,6 @@ def train(config, out_dir, log=None):
     return model, history
 
 
-def _augmented(triplet, rng, crop, enabled=True):
-    seed = int(rng.integers(0, 2 ** 31))
-    if not enabled:
-        return triplet
-    return augment(triplet, seed, crop=crop or None)
+def _augmented(triplet, rng, config):
+    seed = int(rng.integers(0, 2 ** 31))  # drawn either way: later batches keep their order
+    return augment(triplet, seed, crop=config.crop or None) if config.augment else triplet

@@ -37,7 +37,7 @@ class WarpMode(enum.Enum):
     KERNEL_ONLY = "kb"
     SHARED_WEIGHT = "ws"
     SDC = "sdc"
-    NO_OCCLUSION = "woocc"  # adacof maps; the two warps are averaged, not blended
+    NO_OCCLUSION = "woocc"  # adacof maps, blended with a constant 1/2 map
 
 
 @dataclass
@@ -200,34 +200,28 @@ def backward_warp_image_vjp(params, upstream):
     return grad.reshape(up.shape)[0] if single else grad.reshape(up.shape)
 
 
-def occlusion_blend(fwd, bwd, v, enabled=True):
+def occlusion_blend(fwd, bwd, v):
     """Blend the two warped frames with the per-pixel visibility map v.
 
-    out = v * fwd + (1 - v) * bwd; with blending disabled the plain average
-    (fwd + bwd) / 2 is returned regardless of v. Frames are (C, H, W) with
-    an (H, W) map, or (B, C, H, W) with a (B, H, W) map.
+    out = v * fwd + (1 - v) * bwd. Frames are (C, H, W) with an (H, W) map,
+    or (B, C, H, W) with a (B, H, W) map.
     """
     fwd, bwd = _as_pixels(fwd), _as_pixels(bwd)
     if fwd.shape != bwd.shape:
         raise ValueError(f"shape mismatch: {fwd.shape} vs {bwd.shape}")
-    if not enabled:
-        return 0.5 * (fwd + bwd)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != fwd.shape[:-3] + fwd.shape[-2:]:
         raise ValueError(f"occlusion map {v.shape} does not match frame {fwd.shape}")
-    if v.min() < 0.0 or v.max() > 1.0:
+    if not (v.min() >= 0.0 and v.max() <= 1.0):  # also rejects NaN
         raise ValueError("occlusion map values must lie in [0, 1]")
     v = v[..., None, :, :]
     return v * fwd + (1.0 - v) * bwd
 
 
-def occlusion_blend_vjp(fwd, bwd, v, upstream, enabled=True):
+def occlusion_blend_vjp(fwd, bwd, v, upstream):
     """VJP of occlusion_blend; grad_v sums over channels (one shared map)."""
     fwd, bwd = _as_pixels(fwd), _as_pixels(bwd)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if not enabled:
-        half = 0.5 * upstream
-        return half, half.copy(), np.zeros(fwd.shape[:-3] + fwd.shape[-2:])
     v = np.asarray(v, dtype=np.float64)[..., None, :, :]
     grad_fwd = v * upstream
     grad_bwd = (1.0 - v) * upstream
@@ -241,7 +235,9 @@ def project_mode(mode, weights, alpha, beta):
     Returns ((weights, alpha, beta), vjp) where vjp maps gradients on the
     constrained maps back onto the raw maps. The maps are (F*F, H, W), or
     (B, F*F, H, W) for a batch. All modes keep the full-map shapes so
-    everything still evaluates through forward_warp.
+    everything still evaluates through forward_warp. 'fb' maps pass through:
+    its single tap is ModelConfig's F=1, d=0; 'woocc' differs only in
+    synthesize's blend.
     """
     n = weights.shape[-3]
     hw = weights.shape[-2] * weights.shape[-1]
@@ -276,44 +272,6 @@ def project_mode(mode, weights, alpha, beta):
 
         return (weights, a_out, b_out), vjp
     raise ValueError(f"unknown warp mode {mode!r}")
-
-
-def make_mode_params(mode, *, weights=None, alpha=None, beta=None, flow=None,
-                     kernel_size=None, dilation=0):
-    """Build WarpParams satisfying a mode's structural constraint.
-
-    flow_only takes a (2, H, W) flow; sdc takes a flow plus an (F*F, H, W)
-    weight map; shared_weight spatially averages the weight map;
-    kernel_only zeroes the offsets.
-    """
-    if mode is WarpMode.FLOW_ONLY:
-        if flow is None:
-            raise ValueError("flow_only mode needs a (2, H, W) flow")
-        flow = np.asarray(flow, dtype=np.float64)
-        _, h, w = flow.shape
-        return WarpParams(np.ones((1, h, w)), flow[0:1].copy(), flow[1:2].copy(),
-                          kernel_size=1, dilation=0)
-    if mode is WarpMode.SDC:
-        if flow is None or weights is None:
-            raise ValueError("sdc mode needs flow and weights")
-        flow = np.asarray(flow, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        f = kernel_size or int(round(np.sqrt(weights.shape[0])))
-        alpha = np.broadcast_to(flow[0:1], weights.shape).copy()
-        beta = np.broadcast_to(flow[1:2], weights.shape).copy()
-        return WarpParams(weights.copy(), alpha, beta, kernel_size=f,
-                          dilation=dilation)
-    if weights is None:
-        raise ValueError(f"{mode.value} mode needs a weight map")
-    weights = np.asarray(weights, dtype=np.float64)
-    f = kernel_size or int(round(np.sqrt(weights.shape[0])))
-    if alpha is None:
-        alpha = np.zeros_like(weights)
-        beta = np.zeros_like(weights)
-    (w_out, a_out, b_out), _ = project_mode(mode, weights,
-                                            np.asarray(alpha, dtype=np.float64),
-                                            np.asarray(beta, dtype=np.float64))
-    return WarpParams(w_out, a_out, b_out, kernel_size=f, dilation=dilation)
 
 
 def save_acof(path, params, occlusion=None):

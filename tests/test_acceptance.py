@@ -19,11 +19,11 @@ from adacof.datagen import (MotionSpec, generate_triplet, load_triplet,
                             read_manifest, write_dataset)
 from adacof.flowstats import mean_flow, variance_flow
 from adacof.losses import charbonnier_l1, generator_entropy_loss, discriminator_loss
+from adacof.model import ModelConfig
 from adacof.optim import AdaMaxState, adamax_step
 from adacof.ppm import read_ppm, write_ppm
 from adacof.train import TrainConfig, infer, train
-from adacof.warp import (WarpMode, WarpParams, forward_warp, identity_params,
-                         make_mode_params)
+from adacof.warp import WarpMode, WarpParams, forward_warp, identity_params, project_mode
 
 from oracles import (flow_only_oracle, kernel_only_oracle, mean_flow_oracle,
                      random_instance, shift_then_kernel_oracle,
@@ -63,24 +63,30 @@ def test_02_gradient_suite_matches_finite_differences():
 
 
 def test_03_degenerate_modes_match_their_oracles():
+    """Each mode warps through project_mode at its ModelConfig's kernel size
+    and dilation, as training and interp run it."""
     rng = np.random.default_rng(3)
     worst = {"kb": 0.0, "fb": 0.0, "sdc": 0.0}
+
+    def warped(mode, image, weights, alpha, beta):
+        cfg = ModelConfig(kernel_size=3, dilation=1, warp_mode=mode)
+        (w, a, b), _ = project_mode(WarpMode(mode), weights, alpha, beta)
+        return forward_warp(image, WarpParams(w, a, b, cfg.kernel_size, cfg.dilation))
+
     for _ in range(20):
-        image, weights, _, _ = random_instance(rng, SIZE, 3, 1)
+        image, weights, alpha, beta = random_instance(rng, SIZE, 3, 1)
         flow = rng.uniform(-2.0, 2.0, size=(2, SIZE, SIZE))
-
-        p = make_mode_params(WarpMode.KERNEL_ONLY, weights=weights, dilation=1)
-        worst["kb"] = max(worst["kb"], float(np.abs(
-            forward_warp(image, p) - kernel_only_oracle(image, weights, 3, 1)).max()))
-
-        p = make_mode_params(WarpMode.FLOW_ONLY, flow=flow)
-        worst["fb"] = max(worst["fb"], float(np.abs(
-            forward_warp(image, p) - flow_only_oracle(image, flow)).max()))
-
-        p = make_mode_params(WarpMode.SDC, weights=weights, flow=flow, dilation=1)
-        worst["sdc"] = max(worst["sdc"], float(np.abs(
-            forward_warp(image, p)
-            - shift_then_kernel_oracle(image, weights, flow, 3, 1)).max()))
+        tap_mean = np.stack([alpha.mean(axis=0), beta.mean(axis=0)])
+        errs = {
+            "kb": warped("kb", image, weights, alpha, beta)
+            - kernel_only_oracle(image, weights, 3, 1),
+            "fb": warped("fb", image, np.ones((1, SIZE, SIZE)), flow[:1], flow[1:])
+            - flow_only_oracle(image, flow),
+            "sdc": warped("sdc", image, weights, alpha, beta)
+            - shift_then_kernel_oracle(image, weights, tap_mean, 3, 1),
+        }
+        for mode, err in errs.items():
+            worst[mode] = max(worst[mode], float(np.abs(err).max()))
     for mode, err in worst.items():
         assert err < 1e-6, f"{mode} deviates from its oracle by {err:.3e}"
 

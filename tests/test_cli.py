@@ -362,6 +362,22 @@ def test_bad_gen_data_argument_is_a_usage_error(tmp_path, capsys, argv, message)
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--out", "data", "--count", "1", "--size", "16"],
+    ["gradcheck", "--module", "adacof"],
+    ["bench", "--size", "16x16", "--reps", "1"],
+], ids=["gen-data", "gradcheck", "bench"])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be an integer >= 0, got '-1'" in captured.err
+    assert not (tmp_path / "data").exists()
+
+
 def test_interp_names_frames_of_different_sizes(dataset, trained, tmp_path, capsys):
     frame0 = os.path.join(dataset, "0000", "frame0.ppm")
     frame1 = tmp_path / "wide.ppm"

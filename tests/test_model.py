@@ -109,12 +109,15 @@ def _random_model(seed, **kw):
 def test_synthesize_matches_per_pair_composition(mode):
     """Frames, warp params and head gradients equal the per-pair
     project_mode -> forward_warp x2 -> occlusion_blend composition for the
-    config's warp_mode; 'woocc' averages the two warps and gives the occ
-    head no gradient."""
+    config's warp_mode, at its kernel size and dilation ('fb' takes F=1,
+    d=0 though asked for F=3). 'woocc' blends with a constant 1/2 map: the
+    plain average, 1/2 of the upstream on each warp, and no occ gradient."""
     occ_on = mode is not WarpMode.NO_OCCLUSION
     model, x = _random_model(6, warp_mode=mode.value)
+    cfg = model.config
+    assert (cfg.kernel_size, cfg.dilation) == ((1, 0) if mode is WarpMode.FLOW_ONLY else (3, 1))
     out, _ = model.forward(x)
-    frames, synth_params, synth_vjp = synthesize(model.config, out, x)
+    frames, synth_params, synth_vjp = synthesize(cfg, out, x)
     upstream = np.random.default_rng(8).normal(size=frames.shape)
     head_grads = synth_vjp(upstream)
     assert frames.shape == (3, 3, 16, 16)
@@ -126,16 +129,16 @@ def test_synthesize_matches_per_pair_composition(mode):
             (w, a, b), vjp = project_mode(mode, *(getattr(out, n)[i] for n in names))
             assert all(np.array_equal(got, want) for got, want in
                        ((got_p.weights, w), (got_p.alpha, a), (got_p.beta, b)))
-            params.append(WarpParams(w, a, b, 3, 1))
+            params.append(WarpParams(w, a, b, cfg.kernel_size, cfg.dilation))
             vjps.append(vjp)
         warped = [forward_warp(img, p) for img, p in zip(images, params)]
-        assert np.array_equal(frames[i], occlusion_blend(*warped, out.occ[i],
-                                                         enabled=occ_on))
+        v = out.occ[i] if occ_on else np.full_like(out.occ[i], 0.5)
+        assert np.array_equal(frames[i], occlusion_blend(*warped, v))
+        *g_warped, g_occ = occlusion_blend_vjp(*warped, v, upstream[i])
         if not occ_on:
             assert np.array_equal(frames[i], 0.5 * (warped[0] + warped[1]))
-            assert not head_grads["occ"][i].any()
-        *g_warped, g_occ = occlusion_blend_vjp(*warped, out.occ[i], upstream[i],
-                                               enabled=occ_on)
+            assert all(np.array_equal(g, 0.5 * upstream[i]) for g in g_warped)
+            g_occ = np.zeros_like(g_occ)
         want = []
         for img, p, g, vjp in zip(images, params, g_warped, vjps):
             want.extend(vjp(*backward_warp_vjp(img, p, g)))
@@ -268,6 +271,20 @@ def test_checkpoint_of_the_wrong_length_names_file(tmp_path, cut):
     assert str(path) in msg
     assert ("1 bytes follow the last tensor" if cut is None else
             f"checkpoint is cut short: {len(data[:cut])} bytes") in msg
+
+
+def test_checkpoint_with_a_tensor_name_not_utf8_names_file(tmp_path):
+    path = tmp_path / "m.ackp"
+    save_checkpoint(path, SynthModel(_tiny_config()))
+    data = bytearray(path.read_bytes())
+    blob_len = struct.unpack_from("<I", data, 8)[0]
+    first_name = 12 + blob_len + 8  # after the config block, tensor count, name length
+    data[first_name] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert f"{path}: tensor name b'\\xff" in str(exc.value)
+    assert "is not UTF-8" in str(exc.value)
 
 
 @pytest.mark.parametrize("case", ["version1", "version2", "missing", "wrong-shape", "extra"])

@@ -6,10 +6,10 @@ import pytest
 
 from adacof.core import Frame, sample_grid
 from adacof.gradcheck import block_rel_err, fd_gradient
+from adacof.model import ModelConfig
 from adacof.warp import (WarpMode, WarpParams, backward_warp_image_vjp,
                          backward_warp_vjp, forward_warp, identity_params,
-                         load_acof, make_mode_params, occlusion_blend,
-                         occlusion_blend_vjp, project_mode, save_acof)
+                         load_acof, occlusion_blend, project_mode, save_acof)
 
 from oracles import (flow_only_oracle, kernel_only_oracle, random_instance,
                      shift_then_kernel_oracle, warp_oracle)
@@ -94,12 +94,17 @@ def test_validation_rejects_bad_parameters():
         forward_warp(np.zeros((3, 5, 5)), good)
 
 
+def _projected(mode, weights, alpha, beta, f=3, d=1):
+    """WarpParams of project_mode's maps for mode."""
+    (w, a, b), _ = project_mode(mode, weights, alpha, beta)
+    return WarpParams(w, a, b, f, d)
+
+
 def test_kernel_only_mode_matches_adaptive_convolution_oracle():
     rng = np.random.default_rng(7)
     for _ in range(5):
         image, weights, alpha, beta = random_instance(rng, 8, 3, 1)
-        params = make_mode_params(WarpMode.KERNEL_ONLY, weights=weights,
-                                  dilation=1)
+        params = _projected(WarpMode.KERNEL_ONLY, weights, alpha, beta)
         assert np.all(params.alpha == 0.0) and np.all(params.beta == 0.0)
         got = forward_warp(image, params)
         want = kernel_only_oracle(image, weights, 3, 1)
@@ -107,25 +112,28 @@ def test_kernel_only_mode_matches_adaptive_convolution_oracle():
 
 
 def test_flow_only_mode_matches_backward_warp_oracle():
+    """At F=1, d=0: the kernel an 'fb' ModelConfig keeps, whatever it is asked for."""
+    cfg = ModelConfig(kernel_size=5, dilation=2, warp_mode="fb")
+    assert (cfg.kernel_size, cfg.dilation) == (1, 0)
     rng = np.random.default_rng(8)
     for _ in range(5):
         image = rng.random((3, 8, 8))
         flow = rng.uniform(-2.0, 2.0, size=(2, 8, 8))
-        params = make_mode_params(WarpMode.FLOW_ONLY, flow=flow)
-        assert params.kernel_size == 1
+        params = _projected(WarpMode.FLOW_ONLY, np.ones((1, 8, 8)), flow[:1], flow[1:],
+                            cfg.kernel_size, cfg.dilation)
         got = forward_warp(image, params)
         want = flow_only_oracle(image, flow)
         assert np.abs(got - want).max() < 1e-6
 
 
 def test_sdc_mode_matches_shift_then_kernel_oracle():
+    """The flow every tap shares is the tap-mean of the raw offsets."""
     rng = np.random.default_rng(9)
     for _ in range(5):
-        image, weights, _, _ = random_instance(rng, 8, 3, 1)
-        flow = rng.uniform(-2.0, 2.0, size=(2, 8, 8))
-        params = make_mode_params(WarpMode.SDC, weights=weights, flow=flow,
-                                  dilation=1)
+        image, weights, alpha, beta = random_instance(rng, 8, 3, 1)
+        params = _projected(WarpMode.SDC, weights, alpha, beta)
         got = forward_warp(image, params)
+        flow = np.stack([alpha.mean(axis=0), beta.mean(axis=0)])
         want = shift_then_kernel_oracle(image, weights, flow, 3, 1)
         assert np.abs(got - want).max() < 1e-6
 
@@ -219,14 +227,10 @@ def test_single_tap_offset_gradient_zero_where_clamped():
 
 
 def _mode_sample(rng, mode, size):
-    image, weights, alpha, beta = random_instance(rng, size, 3, 1)
-    flow = rng.uniform(-2.0, 2.0, size=(2, size, size))
-    if mode is WarpMode.FLOW_ONLY:
-        return image, make_mode_params(mode, flow=flow)
-    if mode is WarpMode.SDC:
-        return image, make_mode_params(mode, weights=weights, flow=flow, dilation=1)
-    return image, make_mode_params(mode, weights=weights, alpha=alpha, beta=beta,
-                                   dilation=1)
+    """An image and the mode's projected params; 'fb' at F=1, d=0, as its model."""
+    f, d = (1, 0) if mode is WarpMode.FLOW_ONLY else (3, 1)
+    image, weights, alpha, beta = random_instance(rng, size, f, d)
+    return image, _projected(mode, weights, alpha, beta, f, d)
 
 
 def _stacked(params):
@@ -284,31 +288,21 @@ def test_mismatched_batch_is_rejected():
         forward_warp(np.zeros((3, 4, 4)), params)
 
 
-def test_occlusion_blend_formula_and_disabled_average():
+def test_occlusion_blend_formula_and_half_map_average():
     rng = np.random.default_rng(13)
     fwd = rng.random((3, 4, 4))
     bwd = rng.random((3, 4, 4))
     v = rng.uniform(0, 1, size=(4, 4))
     out = occlusion_blend(fwd, bwd, v)
     np.testing.assert_allclose(out, v[None] * fwd + (1 - v[None]) * bwd)
-    off = occlusion_blend(fwd, bwd, v, enabled=False)
-    np.testing.assert_allclose(off, 0.5 * (fwd + bwd))
-    with pytest.raises(ValueError):
-        occlusion_blend(fwd, bwd, v + 2.0)
+    # the constant 1/2 map of 'woocc' is the plain average, bit for bit
+    half = occlusion_blend(fwd, bwd, np.full_like(v, 0.5))
+    np.testing.assert_array_equal(half, 0.5 * (fwd + bwd))
+    for bad in (v + 2.0, np.where(v > 0.5, np.nan, v)):
+        with pytest.raises(ValueError, match="must lie in"):
+            occlusion_blend(fwd, bwd, bad)
     with pytest.raises(ValueError):
         occlusion_blend(fwd, bwd[:, :2], v)
-
-
-def test_occlusion_blend_vjp_disabled_zeroes_map_gradient():
-    rng = np.random.default_rng(14)
-    fwd = rng.random((3, 4, 4))
-    bwd = rng.random((3, 4, 4))
-    v = rng.uniform(0, 1, size=(4, 4))
-    up = rng.normal(size=fwd.shape)
-    gf, gb, gv = occlusion_blend_vjp(fwd, bwd, v, up, enabled=False)
-    np.testing.assert_allclose(gf, 0.5 * up)
-    np.testing.assert_allclose(gb, 0.5 * up)
-    assert np.all(gv == 0.0)
 
 
 def test_acof_roundtrip(tmp_path):
