@@ -97,7 +97,7 @@ def cmd_interp(args):
         (h0, w0), (h1, w1) = frame0.shape[1:], frame1.shape[1:]
         raise ValueError(f"frames differ in size: {args.frame0} is {h0}x{w0}, "
                          f"{args.frame1} is {h1}x{w1}")
-    blended, pf, pb, v = infer(model, frame0.pixels, frame1.pixels, threads=args.threads)
+    blended, pf, pb, v = infer(model, frame0, frame1, threads=args.threads)
     write_ppm(args.out, blended)
     if args.dump_params:
         save_acof(args.dump_params, pf, v)
@@ -109,11 +109,11 @@ def cmd_interp(args):
 def cmd_warp(args):
     params, _ = load_acof(args.params)
     image = read_ppm(args.input)
-    if image.shape[1:] != (params.height, params.width):
+    h, w = image.shape[1:]
+    if (h, w) != (params.height, params.width):
         raise ValueError(f"image and parameter maps differ in size: {args.input} is "
-                         f"{image.height}x{image.width}, {args.params} is "
-                         f"{params.height}x{params.width}")
-    warped = forward_warp(image.pixels, params, threads=args.threads)
+                         f"{h}x{w}, {args.params} is {params.height}x{params.width}")
+    warped = forward_warp(image, params, threads=args.threads)
     write_ppm(args.out, warped)
     return 0
 

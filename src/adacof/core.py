@@ -1,7 +1,7 @@
-"""Dense image/tensor carrier and the one bilinear sampler of the package.
+"""Shared helpers and the one bilinear sampler of the package.
 
-Arrays are plain numpy ndarrays in channel-outermost (C, H, W) layout.
-Computation runs in float64; file formats store float32 (see ppm/warp I/O).
+An image is a plain (C, H, W) float64 array, checked only at the PPM files
+(see ppm). Computation runs in float64; .acof and .ackp files store float32.
 The sampler works one warp tap at a time: bilinear_corners maps (y, x)
 coordinates to the flat indices y*W + x of their cell's corners, which
 sample_grid gathers from the image flattened to (C, N) and interpolates;
@@ -14,7 +14,7 @@ cell to the right/below (right-continuous convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,40 +48,6 @@ def config_from_dict(cls, raw, source):
         return cls(**raw)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
-
-
-@dataclass(frozen=True)
-class Frame:
-    """An image with values in [0, 1], stored as (C, H, W) float64."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim == 2:
-            px = px[None]
-        if px.ndim != 3 or px.shape[0] not in (1, 3):
-            raise ValueError(f"expected (C, H, W) with C in {{1, 3}}, got {px.shape}")
-        check_finite(px, "frame")
-        if px.min() < 0.0 or px.max() > 1.0:
-            raise ValueError("frame values must lie in [0, 1]")
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def channels(self):
-        return self.pixels.shape[0]
-
-    @property
-    def height(self):
-        return self.pixels.shape[1]
-
-    @property
-    def width(self):
-        return self.pixels.shape[2]
-
-    @property
-    def shape(self):
-        return self.pixels.shape
 
 
 def bilinear_corners(h, w, ys, xs, base=0):

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Frame, sample_grid
+from .core import sample_grid
 from .ppm import read_ppm, write_ppm
 from .warp import WarpParams, load_acof, save_acof
 
@@ -40,9 +40,9 @@ class MotionSpec:
 
 @dataclass
 class Triplet:
-    first: Frame
-    middle: Frame
-    last: Frame
+    first: np.ndarray   # (C, H, W) frames at t = 0, 1/2, 1
+    middle: np.ndarray
+    last: np.ndarray
     flow: Optional[np.ndarray] = None       # (2, H, W) forward offsets, half step
     occlusion: Optional[np.ndarray] = None  # (H, W) visibility truth
 
@@ -96,7 +96,7 @@ def generate_triplet(spec, size, seed, max_disp=3.0):
             ry, rx = grid_y - cy, grid_x - cx
             ys = cy + math.cos(theta) * ry - math.sin(theta) * rx + t * dy
             xs = cx + math.sin(theta) * ry + math.cos(theta) * rx + t * dx
-        frames.append(Frame(sample_grid(base, ys + margin, xs + margin)))
+        frames.append(sample_grid(base, ys + margin, xs + margin))
 
     if spec.kind == "global_translation":
         flow = np.stack([np.full((size, size), dy / 2.0),
@@ -135,7 +135,7 @@ def _render_occluder(spec, size, margin, base, rng, grid_y, grid_x):
         mask = cover(t)
         patch_vals = sample_grid(patch, grid_y - oy + 2.0, grid_x - ox + 2.0)
         img = np.where(mask[None], patch_vals, img)
-        frames.append(Frame(img))
+        frames.append(img)
 
     mask_half = cover(0.5)
     flow = np.where(mask_half[None],
@@ -159,13 +159,13 @@ def augment(triplet, seed, crop=None):
     visibility map.
     """
     rng = np.random.default_rng(seed)
-    h, w = triplet.first.height, triplet.first.width
+    h, w = triplet.first.shape[1:]
     crop = crop or h
     if crop > h or crop > w:
         raise ValueError(f"crop {crop} larger than frame {h}x{w}")
     y0 = int(rng.integers(0, h - crop + 1))
     x0 = int(rng.integers(0, w - crop + 1))
-    frames = [f.pixels[:, y0:y0 + crop, x0:x0 + crop]
+    frames = [f[:, y0:y0 + crop, x0:x0 + crop]
               for f in (triplet.first, triplet.middle, triplet.last)]
     flow = None if triplet.flow is None else \
         triplet.flow[:, y0:y0 + crop, x0:x0 + crop].copy()
@@ -188,8 +188,7 @@ def augment(triplet, seed, crop=None):
             flow = -flow
         if occ is not None:
             occ = 1.0 - occ
-    return Triplet(Frame(frames[0].copy()), Frame(frames[1].copy()),
-                   Frame(frames[2].copy()), flow,
+    return Triplet(frames[0].copy(), frames[1].copy(), frames[2].copy(), flow,
                    None if occ is None else np.ascontiguousarray(occ))
 
 

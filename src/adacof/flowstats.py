@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Frame
-
 
 def mean_flow(params, include_grid=False):
     """Weighted mean offset per pixel, shape (2, H, W) as (dy, dx).
@@ -61,7 +59,7 @@ def _hsv_to_rgb(h, s, v):
 
 
 def render_flow(flow):
-    """Color-wheel rendering of a (2, H, W) flow field as a Frame.
+    """Color-wheel rendering of a (2, H, W) flow field as a (3, H, W) image.
 
     Hue encodes direction, saturation encodes magnitude normalized by the
     99th-percentile magnitude (zero flow renders white).
@@ -73,7 +71,7 @@ def render_flow(flow):
         scale = 1.0
     sat = np.clip(mag / scale, 0.0, 1.0)
     hue = (np.arctan2(-flow[0], flow[1]) / (2.0 * np.pi)) % 1.0
-    return Frame(_hsv_to_rgb(hue, sat, np.ones_like(sat)))
+    return _hsv_to_rgb(hue, sat, np.ones_like(sat))
 
 
 def render_occlusion(v):
@@ -82,4 +80,4 @@ def render_occlusion(v):
     r = np.clip(2.0 * v - 1.0, 0.0, 1.0)
     g = 1.0 - np.abs(2.0 * v - 1.0)
     b = np.clip(1.0 - 2.0 * v, 0.0, 1.0)
-    return Frame(np.stack([r, g, b]))
+    return np.stack([r, g, b])

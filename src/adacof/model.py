@@ -52,6 +52,8 @@ class ModelConfig:
                              f"(depth {self.depth}), got {list(self.widths)}")
         if self.kernel_size < 1:
             raise ValueError(f"kernel_size must be >= 1, got {self.kernel_size!r}")
+        if self.dilation < 0:
+            raise ValueError(f"dilation must be >= 0, got {self.dilation!r}")
 
     @property
     def head_sizes(self):
@@ -246,18 +248,13 @@ class SynthModel:
         return grads
 
 
-def init_params(config):
-    """He-style fan-in initialization; the head convolution starts at zero."""
-    rng = np.random.default_rng(config.seed)
-    params = {}
+def param_shapes(config):
+    """Each tensor's shape by name, in init_params's draw order; allocates nothing."""
+    shapes = {}
 
-    def conv(name, cin, cout, zero=False):
-        if zero:
-            params[f"{name}.w"] = np.zeros((cout, cin, 3, 3))
-        else:
-            std = np.sqrt(2.0 / (cin * 9))
-            params[f"{name}.w"] = rng.normal(0.0, std, size=(cout, cin, 3, 3))
-        params[f"{name}.b"] = np.zeros(cout)
+    def conv(name, cin, cout):
+        shapes[f"{name}.w"] = (cout, cin, 3, 3)
+        shapes[f"{name}.b"] = (cout,)
 
     cin = IN_CHANNELS + MOTION_FEATURES
     for i in range(config.depth):
@@ -268,7 +265,19 @@ def init_params(config):
     for i in reversed(range(config.depth)):
         conv(f"dec{i}", up + config.widths[i], config.widths[i])
         up = config.widths[i]
-    conv("head", config.widths[0], sum(config.head_sizes), zero=True)
+    conv("head", config.widths[0], sum(config.head_sizes))
+    return shapes
+
+
+def init_params(config):
+    """He-style fan-in initialization; biases and the head convolution start at zero."""
+    rng = np.random.default_rng(config.seed)
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if name.startswith("head.") or name.endswith(".b"):
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = rng.normal(0.0, np.sqrt(2.0 / (shape[1] * 9)), size=shape)
     return params
 
 
@@ -336,7 +345,7 @@ def load_checkpoint(path):
     if pos != len(data):
         raise ValueError(f"{path}: {len(data) - pos} bytes follow the last tensor")
     config = config_from_dict(ModelConfig, cfg, path)
-    want = {name: p.shape for name, p in init_params(config).items()}
+    want = param_shapes(config)
     for name in sorted(want.keys() | params.keys()):
         got = params[name].shape if name in params else "absent"
         if got != want.get(name, "absent"):

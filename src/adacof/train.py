@@ -92,8 +92,7 @@ class TrainConfig:
 
 def infer(model, first, last, threads=1):
     """Full interpolation pass; returns (output, params_fwd, params_bwd, v)."""
-    x = np.concatenate([np.asarray(first, dtype=np.float64),
-                        np.asarray(last, dtype=np.float64)])[None]
+    x = np.concatenate([first, last]).astype(np.float64, copy=False)[None]
     out = model.forward(x)[0]  # drops the network tape before the warps
     frames, (pf, pb), _ = synthesize(model.config, out, x, threads)
     return frames[0], pf.at(0), pb.at(0), out.occ[0]
@@ -107,19 +106,19 @@ def _batch_losses_and_grads(model, batch, config, disc=None):
     model grads, classifier vjps): with disc, one (c1, vjp1, c2, vjp2) per
     triplet for the classifier step.
     """
-    x = np.stack([np.concatenate([t.first.pixels, t.last.pixels]) for t in batch])
+    x = np.stack([np.concatenate([t.first, t.last]) for t in batch])
     out, net_tape = model.forward(x)
     frames, _, synth_vjp = synthesize(model.config, out, x)
     g_frames = np.empty_like(frames)
     total = 0.0
     disc_vjps = []
     for i, (triplet, blended) in enumerate(zip(batch, frames)):
-        gt = triplet.middle.pixels
+        gt = triplet.middle
         l1, g_l1 = charbonnier_l1(blended, gt)
         if disc is not None:
             vgg, g_vgg = perceptual_loss(blended, gt)
-            c1, vjp1 = disc.forward(np.concatenate([triplet.first.pixels, blended]))
-            c2, vjp2 = disc.forward(np.concatenate([blended, triplet.last.pixels]))
+            c1, vjp1 = disc.forward(np.concatenate([triplet.first, blended]))
+            c2, vjp2 = disc.forward(np.concatenate([blended, triplet.last]))
             disc_vjps.append((c1, vjp1, c2, vjp2))
             adv, d_c1, d_c2 = generator_entropy_loss(c1, c2)
             _, g_in1 = vjp1(d_c1)
@@ -156,10 +155,9 @@ def evaluate(model, triplets):
     """Per-triplet (psnr, ssim, ie) rows; triplets may be any iterable."""
     rows = []
     for t in triplets:
-        blended, _, _, _ = infer(model, t.first.pixels, t.last.pixels)
-        gt = t.middle.pixels
-        rows.append((metrics.psnr(blended, gt), metrics.ssim(blended, gt),
-                     metrics.interpolation_error(blended, gt)))
+        blended, _, _, _ = infer(model, t.first, t.last)
+        rows.append((metrics.psnr(blended, t.middle), metrics.ssim(blended, t.middle),
+                     metrics.interpolation_error(blended, t.middle)))
     return rows
 
 

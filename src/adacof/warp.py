@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (BAND_PIXELS, Frame, bilinear_corners, check_finite, sample_grid,
+from .core import (BAND_PIXELS, bilinear_corners, check_finite, sample_grid,
                    sample_grid_with_grad)
 
 ACOF_MAGIC = b"ACOF"
@@ -105,10 +105,6 @@ def identity_params(height, width):
                       np.zeros((1, height, width)), kernel_size=1, dilation=0)
 
 
-def _as_pixels(image):
-    return image.pixels if isinstance(image, Frame) else np.asarray(image, dtype=np.float64)
-
-
 def _tap_coords(params, rows=slice(None)):
     """Yield (t, ys, xs): the sampling coordinates of tap t on the given rows."""
     gy, gx = params.tap_grid_offsets()
@@ -121,14 +117,14 @@ def _tap_coords(params, rows=slice(None)):
 
 def _as_batch(image, params):
     """(B, C, H, W) pixels and batched params, and whether the call was unbatched."""
-    pixels, maps = _as_pixels(image), params.weights.shape
+    pixels, maps = np.asarray(image, dtype=np.float64), params.weights.shape
     if pixels.shape[:-3] + pixels.shape[-2:] != maps[:-3] + maps[-2:]:
         raise ValueError(f"image {pixels.shape} does not match params maps {maps}")
     return (pixels[None], params.at(None), True) if pixels.ndim == 3 else (pixels, params, False)
 
 
 def forward_warp(image, params, threads=1, validate=True):
-    """Warp a (C, H, W) image (or Frame) by (F*F, H, W) maps, or a
+    """Warp a (C, H, W) image by (F*F, H, W) maps, or a
     (B, C, H, W) batch by (B, F*F, H, W) maps, bit-identical per sample.
 
     Output pixels are convex sums of bilinear samples, accumulated one tap
@@ -206,7 +202,7 @@ def occlusion_blend(fwd, bwd, v):
     out = v * fwd + (1 - v) * bwd. Frames are (C, H, W) with an (H, W) map,
     or (B, C, H, W) with a (B, H, W) map.
     """
-    fwd, bwd = _as_pixels(fwd), _as_pixels(bwd)
+    fwd, bwd = np.asarray(fwd, dtype=np.float64), np.asarray(bwd, dtype=np.float64)
     if fwd.shape != bwd.shape:
         raise ValueError(f"shape mismatch: {fwd.shape} vs {bwd.shape}")
     v = np.asarray(v, dtype=np.float64)
@@ -220,7 +216,7 @@ def occlusion_blend(fwd, bwd, v):
 
 def occlusion_blend_vjp(fwd, bwd, v, upstream):
     """VJP of occlusion_blend; grad_v sums over channels (one shared map)."""
-    fwd, bwd = _as_pixels(fwd), _as_pixels(bwd)
+    fwd, bwd = np.asarray(fwd, dtype=np.float64), np.asarray(bwd, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)[..., None, :, :]
     grad_fwd = v * upstream

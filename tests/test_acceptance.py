@@ -14,7 +14,7 @@ import pytest
 
 from adacof import gradcheck as gc
 from adacof import metrics
-from adacof.core import Frame, sample_grid
+from adacof.core import sample_grid
 from adacof.datagen import (MotionSpec, generate_triplet, load_triplet,
                             read_manifest, write_dataset)
 from adacof.flowstats import mean_flow, variance_flow
@@ -94,12 +94,12 @@ def test_03_degenerate_modes_match_their_oracles():
 def test_04_exact_warps(tmp_path):
     rng = np.random.default_rng(4)
     # identity: byte-identical image file round trip through the warp
-    frame = Frame(rng.integers(0, 256, size=(3, 12, 12)) / 255.0)
+    frame = rng.integers(0, 256, size=(3, 12, 12)) / 255.0
     src = tmp_path / "src.ppm"
     write_ppm(src, frame)
     warped = forward_warp(read_ppm(src), identity_params(12, 12))
     dst = tmp_path / "dst.ppm"
-    write_ppm(dst, Frame(warped))
+    write_ppm(dst, warped)
     assert src.read_bytes()[src.read_bytes().index(b"255"):] == \
         dst.read_bytes()[dst.read_bytes().index(b"255"):]
 
@@ -162,8 +162,7 @@ def test_06_training_beats_frame_average_baseline(training_runs):
     n_val = round(len(names) * 0.125)
     val = [load_triplet(os.path.join(data, n)) for n in names[-n_val:]]
     baseline = float(np.mean([
-        min(metrics.psnr(0.5 * (t.first.pixels + t.last.pixels),
-                         t.middle.pixels), 100.0) for t in val]))
+        min(metrics.psnr(0.5 * (t.first + t.last), t.middle), 100.0) for t in val]))
     _, hist_ada = training_runs["adacof"]
     _, hist_fb = training_runs["fb"]
     psnr_ada = hist_ada[-1]["val_psnr"]
@@ -186,7 +185,7 @@ def test_07_mean_flow_sign_agreement_on_translations(training_runs):
                                         mag * math.cos(ang)),
                           texture_seed=7000 + trial)
         t = generate_triplet(spec, 32, seed=9000 + trial)
-        _, pf, _, _ = infer(model, t.first.pixels, t.last.pixels)
+        _, pf, _, _ = infer(model, t.first, t.last)
         flow = mean_flow(pf, include_grid=True)
         mask = np.abs(t.flow) > 0.5
         agree += int(((np.sign(flow) == np.sign(t.flow)) & mask).sum())

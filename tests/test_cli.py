@@ -9,7 +9,6 @@ import pytest
 
 from adacof import gradcheck as gc
 from adacof.cli import main
-from adacof.core import Frame
 from adacof.datagen import read_manifest
 from adacof.ppm import read_ppm, write_ppm
 from adacof.warp import identity_params, save_acof
@@ -52,7 +51,7 @@ def test_interp_and_dump_params(dataset, trained, tmp_path, capsys):
 
 
 def test_warp_identity_roundtrip(tmp_path):
-    frame = Frame(np.random.default_rng(0).integers(0, 256, (3, 8, 8)) / 255.0)
+    frame = np.random.default_rng(0).integers(0, 256, (3, 8, 8)) / 255.0
     src = tmp_path / "in.ppm"
     write_ppm(src, frame)
     params = tmp_path / "id.acof"
@@ -60,7 +59,7 @@ def test_warp_identity_roundtrip(tmp_path):
     out = tmp_path / "out.ppm"
     assert main(["warp", "--params", str(params), "--input", str(src),
                  "--out", str(out), "--threads", "2"]) == 0
-    np.testing.assert_array_equal(read_ppm(out).pixels, frame.pixels)
+    np.testing.assert_array_equal(read_ppm(out), frame)
 
 
 def test_gradcheck_command(capsys):
@@ -149,7 +148,7 @@ def test_ablate_rejects_an_unknown_mode_before_training(tmp_path, capsys):
 @pytest.mark.parametrize("size", [100, None], ids=["truncated", "trailing"])
 def test_warp_rejects_a_dump_of_the_wrong_length(tmp_path, capsys, size):
     src = tmp_path / "in.ppm"
-    write_ppm(src, Frame(np.zeros((3, 8, 8))))
+    write_ppm(src, np.zeros((3, 8, 8)))
     params = tmp_path / "id.acof"
     save_acof(params, identity_params(8, 8))
     data = params.read_bytes()
@@ -165,7 +164,7 @@ def test_warp_rejects_a_dump_of_the_wrong_length(tmp_path, capsys, size):
 
 def test_warp_names_an_image_and_a_dump_of_different_sizes(tmp_path, capsys):
     src = tmp_path / "in.ppm"
-    write_ppm(src, Frame(np.zeros((3, 8, 12))))
+    write_ppm(src, np.zeros((3, 8, 12)))
     params = tmp_path / "id.acof"
     save_acof(params, identity_params(8, 8))
     assert main(["warp", "--params", str(params), "--input", str(src),
@@ -179,7 +178,7 @@ def test_warp_names_an_image_and_a_dump_of_different_sizes(tmp_path, capsys):
 
 def test_warp_rejects_an_occlusion_map_outside_unit_range(tmp_path, capsys):
     src = tmp_path / "in.ppm"
-    write_ppm(src, Frame(np.zeros((3, 8, 8))))
+    write_ppm(src, np.zeros((3, 8, 8)))
     params = tmp_path / "occ.acof"
     save_acof(params, identity_params(8, 8), np.full((8, 8), 7.0))
     assert main(["warp", "--params", str(params), "--input", str(src),
@@ -247,8 +246,15 @@ def _rewrite_config_block(src, dst, edit):
      "warp_mode must be one of adacof, fb, kb, ws, sdc, woocc, got 'zzz'"),
     (lambda text: json.dumps({**json.loads(text), "warp_mode": 1}),
      "config key 'warp_mode' must be str, got 1"),
+    (lambda text: json.dumps({**json.loads(text), "dilation": -1}),
+     "dilation must be >= 0, got -1"),
+    # the shapes are compared before any tensor of the config's size is made
+    (lambda text: json.dumps({**json.loads(text), "kernel_size": 100000}),
+     "tensor head.b is (55,) in the file but (60000000001,) in its model config"),
+    (lambda text: json.dumps({**json.loads(text), "depth": 2, "widths": [100000000, 16]}),
+     "tensor bottleneck.b is (6,) in the file but (16,) in its model config"),
 ], ids=["unknown-key", "wrong-type", "not-an-object", "not-json", "unknown-warp-mode",
-        "warp-mode-not-a-string"])
+        "warp-mode-not-a-string", "negative-dilation", "huge-kernel-size", "huge-widths"])
 def test_checkpoint_config_block_names_the_bad_key(dataset, trained, tmp_path, capsys,
                                                    edit, message):
     ckpt = tmp_path / "bad.ackp"
@@ -271,6 +277,7 @@ def test_checkpoint_config_block_names_the_bad_key(dataset, trained, tmp_path, c
     ({"batch": 0}, False, "batch must be >= 1, got 0"),
     ({"epochs": 0}, False, "epochs must be >= 1, got 0"),
     ({"F": 0}, False, "kernel_size must be >= 1, got 0"),
+    ({"d": -1}, False, "dilation must be >= 0, got -1"),
     ({"widths": [4, 8]}, False,
      "widths must be one positive width per encoder level (depth 1), got [4, 8]"),
     ({"val_fraction": 1.5}, False, "val_fraction must be between 0 and 1, got 1.5"),
@@ -278,7 +285,7 @@ def test_checkpoint_config_block_names_the_bad_key(dataset, trained, tmp_path, c
     ({"lambda_adv": -1}, False, "lambda_adv must be >= 0, got -1"),
 ], ids=["unknown-key", "misspelt-mode", "unknown-warp-mode", "not-json", "negative-lr",
         "crop-not-a-multiple", "zero-batch", "zero-epochs", "zero-kernel-size",
-        "widths-not-depth", "val-fraction-above-1", "zero-schedule-period",
+        "negative-dilation", "widths-not-depth", "val-fraction-above-1", "zero-schedule-period",
         "negative-lambda"])
 def test_training_config_names_the_bad_key(dataset, tmp_path, capsys, change, cut, message):
     cfg = tmp_path / "cfg.json"
@@ -381,7 +388,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
 def test_interp_names_frames_of_different_sizes(dataset, trained, tmp_path, capsys):
     frame0 = os.path.join(dataset, "0000", "frame0.ppm")
     frame1 = tmp_path / "wide.ppm"
-    write_ppm(frame1, Frame(np.zeros((3, 16, 20))))
+    write_ppm(frame1, np.zeros((3, 16, 20)))
     assert main(["interp", "--ckpt", os.path.join(trained, "ckpt_final.ackp"),
                  "--frame0", frame0, "--frame1", str(frame1),
                  "--out", str(tmp_path / "mid.ppm")]) == 1

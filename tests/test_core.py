@@ -1,9 +1,9 @@
-"""Bilinear sampler and Frame carrier tests."""
+"""Bilinear sampler tests."""
 
 import numpy as np
 import pytest
 
-from adacof.core import Frame, sample_grid, sample_grid_with_grad
+from adacof.core import sample_grid, sample_grid_with_grad
 
 
 def brute_bilinear(channel, y, x):
@@ -110,14 +110,3 @@ def test_sample_grid_channel_major_batch_matches_per_image():
                                                           upstream[:, b])):
             np.testing.assert_array_equal(got[b], want)
 
-
-def test_frame_validation():
-    with pytest.raises(ValueError):
-        Frame(np.full((3, 4, 4), 1.5))
-    with pytest.raises(ValueError):
-        Frame(np.zeros((2, 4, 4)))
-    with pytest.raises(ValueError):
-        Frame(np.full((1, 4, 4), np.nan))
-    f = Frame(np.zeros((4, 4)))
-    assert f.shape == (1, 4, 4)
-    assert f.channels == 1 and f.height == 4 and f.width == 4

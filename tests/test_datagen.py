@@ -19,8 +19,7 @@ def test_smooth_texture_range_and_determinism():
 def test_integer_translation_middle_frame_is_exact_shift():
     spec = MotionSpec(displacement=(2.0, -2.0))
     t = generate_triplet(spec, 24, seed=0)
-    first = t.first.pixels
-    middle = t.middle.pixels
+    first, middle = t.first, t.middle
     # middle(p) = first(p + disp/2): compare shifted interiors
     np.testing.assert_allclose(middle[:, :-1, 1:], first[:, 1:, :-1], atol=1e-12)
 
@@ -33,9 +32,9 @@ def test_middle_frame_matches_truth_flow_warp():
     h, w = 24, 24
     params = WarpParams(np.ones((1, h, w)), t.flow[0:1], t.flow[1:2],
                         kernel_size=1, dilation=0)
-    warped = forward_warp(t.first.pixels, params)
+    warped = forward_warp(t.first, params)
     interior = (slice(None), slice(3, -3), slice(3, -3))
-    assert np.abs(warped[interior] - t.middle.pixels[interior]).max() < 1e-6
+    assert np.abs(warped[interior] - t.middle[interior]).max() < 1e-6
 
 
 def test_translation_truth_values():
@@ -87,8 +86,7 @@ def test_augment_flip_consistency():
         draws = rng.random(3)
         if draws[0] < 0.5 and draws[1] >= 0.5 and draws[2] >= 0.5:
             a = augment(t, seed)
-            np.testing.assert_array_equal(a.first.pixels,
-                                          t.first.pixels[:, :, ::-1])
+            np.testing.assert_array_equal(a.first, t.first[:, :, ::-1])
             np.testing.assert_allclose(a.flow[1], -t.flow[1][:, ::-1])
             np.testing.assert_allclose(a.flow[0], t.flow[0][:, ::-1])
             return
@@ -105,9 +103,9 @@ def test_augment_swap_consistency():
         draws = rng.random(3)
         if draws[0] >= 0.5 and draws[1] >= 0.5 and draws[2] < 0.5:
             a = augment(t, seed)
-            np.testing.assert_array_equal(a.first.pixels, t.last.pixels)
-            np.testing.assert_array_equal(a.last.pixels, t.first.pixels)
-            np.testing.assert_array_equal(a.middle.pixels, t.middle.pixels)
+            np.testing.assert_array_equal(a.first, t.last)
+            np.testing.assert_array_equal(a.last, t.first)
+            np.testing.assert_array_equal(a.middle, t.middle)
             np.testing.assert_allclose(a.flow, -t.flow)
             np.testing.assert_allclose(a.occlusion, 1.0 - t.occlusion)
             return
@@ -136,7 +134,7 @@ def test_save_load_roundtrip(tmp_path):
     save_triplet(tmp_path / "t0", t)
     back = load_triplet(tmp_path / "t0")
     # frames go through 8-bit quantization
-    assert np.abs(back.first.pixels - t.first.pixels).max() <= 0.5 / 255.0
+    assert np.abs(back.first - t.first).max() <= 0.5 / 255.0
     assert np.abs(back.flow - t.flow).max() < 1e-6
     assert np.abs(back.occlusion - t.occlusion).max() < 1e-6
 

@@ -63,14 +63,14 @@ def test_render_flow_output_range_and_zero_flow_white():
     rng = np.random.default_rng(3)
     flow = rng.normal(size=(2, 8, 8))
     img = render_flow(flow)
-    assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
+    assert img.min() >= 0.0 and img.max() <= 1.0
     white = render_flow(np.zeros((2, 4, 4)))
-    np.testing.assert_allclose(white.pixels, 1.0)
+    np.testing.assert_allclose(white, 1.0)
 
 
 def test_render_occlusion_endpoints():
     v = np.array([[0.0, 0.5, 1.0]])
-    img = render_occlusion(v).pixels
+    img = render_occlusion(v)
     np.testing.assert_allclose(img[:, 0, 0], [0.0, 0.0, 1.0])  # V=0 blue
     np.testing.assert_allclose(img[:, 0, 1], [0.0, 1.0, 0.0])  # V=0.5 green
     np.testing.assert_allclose(img[:, 0, 2], [1.0, 0.0, 0.0])  # V=1 red

@@ -47,8 +47,8 @@ def test_final_checkpoint_reproduces_model(tiny_dataset, tmp_path):
     back = load_checkpoint(out / "ckpt_final.ackp")
     assert back.config == model.config and back.config.warp_mode == "adacof"
     t = load_triplet(os.path.join(tiny_dataset, "0000"))
-    a, _, _, _ = infer(model, t.first.pixels, t.last.pixels)
-    b, _, _, _ = infer(back, t.first.pixels, t.last.pixels)
+    a, _, _, _ = infer(model, t.first, t.last)
+    b, _, _, _ = infer(back, t.first, t.last)
     # checkpoints store float32 parameters
     assert np.abs(a - b).max() < 1e-5
 
@@ -66,7 +66,7 @@ def test_zero_lr_keeps_untrained_baseline(tiny_dataset, tmp_path):
     # heads are zero-initialized and lr=0 keeps them there: uniform
     # weights, zero offsets, v=0.5 everywhere
     t = load_triplet(os.path.join(tiny_dataset, "0000"))
-    out, pf, pb, v = infer(model, t.first.pixels, t.last.pixels)
+    out, pf, pb, v = infer(model, t.first, t.last)
     np.testing.assert_allclose(v, 0.5, atol=1e-12)
     np.testing.assert_allclose(pf.alpha, 0.0, atol=1e-12)
     np.testing.assert_allclose(pf.weights, 1.0 / 9.0, atol=1e-12)

@@ -4,7 +4,7 @@ occlusion blending, and the binary parameter dump."""
 import numpy as np
 import pytest
 
-from adacof.core import Frame, sample_grid
+from adacof.core import sample_grid
 from adacof.gradcheck import block_rel_err, fd_gradient
 from adacof.model import ModelConfig
 from adacof.warp import (WarpMode, WarpParams, backward_warp_image_vjp,
@@ -62,11 +62,15 @@ def test_output_stays_in_input_range():
     assert out.max() <= image.max() + 1e-12
 
 
-def test_accepts_frame_input():
-    rng = np.random.default_rng(5)
-    frame = Frame(rng.random((3, 6, 6)))
-    out = forward_warp(frame, identity_params(6, 6))
-    np.testing.assert_array_equal(out, frame.pixels)
+def test_accepts_non_float64_input():
+    # an image is any (C, H, W) array-like: float32 and nested lists warp
+    # as their float64 conversion
+    image, weights, alpha, beta = random_instance(np.random.default_rng(5), 6, 3, 1)
+    params = WarpParams(weights, alpha, beta, kernel_size=3, dilation=1)
+    image = image.astype(np.float32)
+    want = forward_warp(image.astype(np.float64), params)
+    np.testing.assert_array_equal(forward_warp(image, params), want)
+    np.testing.assert_array_equal(forward_warp(image.tolist(), params), want)
 
 
 def test_thread_counts_are_bit_identical():
