@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -18,7 +19,7 @@ from . import gradcheck as gc
 from . import metrics
 from .datagen import MIN_SIZE, load_triplet, read_manifest, write_dataset
 from .flowstats import mean_flow, render_flow, render_occlusion, variance_flow
-from .model import load_checkpoint
+from .model import load_checkpoint, param_shapes
 from .ppm import read_ppm, write_ppm
 from .train import KEY_ALIASES, TrainConfig, evaluate, infer, mean_metrics, train
 from .warp import WarpMode, forward_warp, load_acof, save_acof
@@ -81,9 +82,18 @@ def cmd_gen_data(args):
     return 0
 
 
+def _train(config_path, config, out_dir):
+    """train(), an out-of-memory model reported against its config file."""
+    try:
+        return train(config, out_dir, log=_err)
+    except MemoryError:
+        n = sum(math.prod(shape) for shape in param_shapes(config.model_config()).values())
+        raise ValueError(f"{config_path}: out of memory for widths {list(config.widths)} "
+                         f"and kernel_size {config.kernel_size}: {n:,} parameters") from None
+
+
 def cmd_train(args):
-    config = TrainConfig.from_json(args.config)
-    _, history = train(config, args.out, log=_err)
+    _, history = _train(args.config, TrainConfig.from_json(args.config), args.out)
     last = history[-1]
     print(f"final,{last['loss']:.6g},{last['val_psnr']:.6g},{last['val_ssim']:.6g}")
     return 0
@@ -155,7 +165,7 @@ def _train_variants(config_path, column, variants):
         raise ValueError(f"{config_path}: {exc}") from None
     print(f"{column},val_psnr,val_ssim")
     for label, out_dir, run in runs:
-        _, history = train(run, out_dir, log=_err)
+        _, history = _train(config_path, run, out_dir)
         last = history[-1]
         print(f"{label},{last['val_psnr']:.6g},{last['val_ssim']:.6g}")
     return 0

@@ -154,9 +154,8 @@ def _render_occluder(spec, size, margin, base, rng, grid_y, grid_x):
 def augment(triplet, seed, crop=None):
     """Random crop; horizontal and vertical flips and temporal swap, each with p = 1/2.
 
-    Ground truth transforms consistently: flips negate and mirror the
-    matching flow component, the swap negates the flow and complements the
-    visibility map.
+    Returns the frames only: training reads no motion truth, so the
+    triplet's flow and occlusion are not carried over.
     """
     rng = np.random.default_rng(seed)
     h, w = triplet.first.shape[1:]
@@ -167,29 +166,12 @@ def augment(triplet, seed, crop=None):
     x0 = int(rng.integers(0, w - crop + 1))
     frames = [f[:, y0:y0 + crop, x0:x0 + crop]
               for f in (triplet.first, triplet.middle, triplet.last)]
-    flow = None if triplet.flow is None else \
-        triplet.flow[:, y0:y0 + crop, x0:x0 + crop].copy()
-    occ = None if triplet.occlusion is None else \
-        triplet.occlusion[y0:y0 + crop, x0:x0 + crop].copy()
-
-    # horizontal then vertical flip: mirror the frames and negate the
-    # flow component along the flipped axis
-    for axis in (2, 1):
+    for axis in (2, 1):  # horizontal, then vertical
         if rng.random() < 0.5:
             frames = [np.flip(f, axis) for f in frames]
-            if flow is not None:
-                flow = np.flip(flow, axis).copy()
-                flow[axis - 1] = -flow[axis - 1]
-            if occ is not None:
-                occ = np.flip(occ, axis - 1)
     if rng.random() < 0.5:
-        frames = [frames[2], frames[1], frames[0]]
-        if flow is not None:
-            flow = -flow
-        if occ is not None:
-            occ = 1.0 - occ
-    return Triplet(frames[0].copy(), frames[1].copy(), frames[2].copy(), flow,
-                   None if occ is None else np.ascontiguousarray(occ))
+        frames.reverse()
+    return Triplet(*(f.copy() for f in frames))
 
 
 def random_spec(rng, max_disp, size):

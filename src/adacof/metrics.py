@@ -13,15 +13,8 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 
 
-def _as_image(a):
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 2:
-        a = a[None]
-    return a
-
-
 def _check_pair(a, b):
-    a, b = _as_image(a), _as_image(b)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return a, b

@@ -16,6 +16,7 @@ config block is the ModelConfig, so a loaded model warps as it was trained.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -122,38 +123,25 @@ def motion_features(x):
     return np.stack([it, iy, ix, fy, fx], axis=1)
 
 
-@dataclass
-class ModelOutputs:
-    """Batched head outputs after their activation constraints."""
-
-    weight_f: np.ndarray  # (B, F*F, H, W), softmax-normalized
-    alpha_f: np.ndarray
-    beta_f: np.ndarray
-    weight_b: np.ndarray
-    alpha_b: np.ndarray
-    beta_b: np.ndarray
-    occ: np.ndarray       # (B, H, W), sigmoid output
-
-
 def synthesize(config, out, x, threads=1):
-    """Middle frames of a (B, 6, H, W) batch x from out, its ModelOutputs.
+    """Middle frames of a (B, 6, H, W) batch x from out, SynthModel.forward's outputs.
 
     Projects the maps onto config.warp_mode, warps the first frames forward
     and the last backward (one batched forward_warp each) and blends with
-    out.occ, or under 'woocc' with a constant 1/2 map, which gives the occ
+    out["occ"], or under 'woocc' with a constant 1/2 map, which gives the occ
     head no gradient. Returns the (B, 3, H, W) frames, the (forward,
     backward) WarpParams, and a vjp from frame gradients to the head
     gradients SynthModel.backward takes.
     """
     mode = WarpMode(config.warp_mode)
     occluded = mode is not WarpMode.NO_OCCLUSION
-    (wf, af, bf), vjp_f = project_mode(mode, out.weight_f, out.alpha_f, out.beta_f)
-    (wb, ab, bb), vjp_b = project_mode(mode, out.weight_b, out.alpha_b, out.beta_b)
+    (wf, af, bf), vjp_f = project_mode(mode, out["weight_f"], out["alpha_f"], out["beta_f"])
+    (wb, ab, bb), vjp_b = project_mode(mode, out["weight_b"], out["alpha_b"], out["beta_b"])
     pf = WarpParams(wf, af, bf, config.kernel_size, config.dilation)
     pb = WarpParams(wb, ab, bb, config.kernel_size, config.dilation)
     fwd = forward_warp(x[:, :3], pf, threads=threads)
     bwd = forward_warp(x[:, 3:], pb, threads=threads)
-    v = out.occ if occluded else np.full_like(out.occ, 0.5)
+    v = out["occ"] if occluded else np.full_like(out["occ"], 0.5)
     frames = occlusion_blend(fwd, bwd, v)
 
     def vjp(upstream):
@@ -175,7 +163,8 @@ class SynthModel:
         self.params = params if params is not None else init_params(config)
 
     def forward(self, x):
-        """Run the network on (B, IN_CHANNELS, H, W); returns (outputs, tape).
+        """Run the network on (B, IN_CHANNELS, H, W); returns (outputs, tape),
+        outputs mapping each of HEAD_NAMES to its activated group, occ (B, H, W).
 
         Height and width must be divisible by 2**depth.
         """
@@ -215,7 +204,7 @@ class SynthModel:
         occ, acts["occ"] = nn.sigmoid(head_out["occ"])
         head_out["occ"] = occ[:, 0]
         tape["head"] = (bw_head, acts)
-        return ModelOutputs(**head_out), tape
+        return head_out, tape
 
     def backward(self, tape, out_grads):
         """VJP through the whole network.
@@ -332,6 +321,14 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: config block is not valid JSON: {exc}") from None
     if isinstance(cfg, dict):
         cfg.pop("extra", None)
+    config = config_from_dict(ModelConfig, cfg, path)
+    want = param_shapes(config)
+
+    def check(name, got):
+        if got != want.get(name, "absent"):
+            raise ValueError(f"{path}: tensor {name} is {got} in the file but "
+                             f"{want.get(name, 'absent')} in its model config")
+
     params = {}
     for _ in range(uints(1)[0]):
         raw_name = take(uints(1)[0])
@@ -340,15 +337,11 @@ def load_checkpoint(path):
         except UnicodeDecodeError:
             raise ValueError(f"{path}: tensor name {raw_name!r} is not UTF-8") from None
         shape = uints(uints(1)[0])
-        raw = take(4 * int(np.prod(shape)))
+        check(name, shape)  # before any byte of it is read: the config bounds its size
+        raw = take(4 * math.prod(shape))
         params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+    for name in sorted(want.keys() - params.keys()):
+        check(name, "absent")
     if pos != len(data):
         raise ValueError(f"{path}: {len(data) - pos} bytes follow the last tensor")
-    config = config_from_dict(ModelConfig, cfg, path)
-    want = param_shapes(config)
-    for name in sorted(want.keys() | params.keys()):
-        got = params[name].shape if name in params else "absent"
-        if got != want.get(name, "absent"):
-            raise ValueError(f"{path}: tensor {name} is {got} in the file but "
-                             f"{want.get(name, 'absent')} in its model config")
     return SynthModel(config, params)

@@ -1,6 +1,4 @@
-"""Infinity-norm variant of the adaptive moment optimizer, plus the
-learning-rate schedule used for training (halving at a fixed epoch period).
-"""
+"""Infinity-norm variant of the adaptive moment optimizer (AdaMax)."""
 
 from __future__ import annotations
 
@@ -44,18 +42,3 @@ def adamax_step(state, params, grads):
         np.maximum(BETA2 * u, np.abs(g), out=u)
         params[name] = params[name] - scale * m / np.maximum(u, U_FLOOR)
 
-
-@dataclass
-class Schedule:
-    """Learning rate halving every `period` epochs."""
-
-    initial_lr: float = 0.001
-    period: int = 20
-
-    def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("halving period must be positive")
-
-    def lr_at(self, epoch):
-        """Learning rate for a zero-based epoch index."""
-        return self.initial_lr * 0.5 ** (epoch // self.period)

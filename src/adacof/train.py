@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .datagen import augment, load_triplet, read_manifest
 from .losses import (Discriminator, charbonnier_l1, discriminator_loss,
                      generator_entropy_loss, perceptual_loss)
 from .model import ModelConfig, SynthModel, save_checkpoint, synthesize
-from .optim import AdaMaxState, Schedule, adamax_step
+from .optim import AdaMaxState, adamax_step
 # forward_warp is unused here: perfbench's tracer test reads this module's binding
 from .warp import forward_warp  # noqa: F401
 
@@ -28,18 +28,15 @@ KEY_ALIASES = {"F": "kernel_size", "d": "dilation"}
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ModelConfig):
+    """The network a config trains (ModelConfig's fields) and the training protocol."""
+
     dataset_dir: str = ""
-    kernel_size: int = 5
-    dilation: int = 1
-    depth: int = 3
-    widths: tuple = (16, 32, 64)
+    seed: int = 7
     lr: float = 0.001
     batch: int = 4
     epochs: int = 30
-    seed: int = 7
     mode: str = "distortion"          # distortion | perception
-    warp_mode: str = "adacof"         # a WarpMode value
     lambda_1: float = 0.01
     lambda_vgg: float = 1.0
     lambda_adv: float = 0.005
@@ -51,7 +48,7 @@ class TrainConfig:
 
     def __post_init__(self):
         self.widths = tuple(self.widths)
-        self.model_config()  # checks the model fields, warp_mode among them
+        self.model_config()  # ModelConfig's checks; fb's F=1, d=0 is set on the model only
         div = 2 ** self.depth
         checks = {  # key: (holds, what it must be)
             "mode": (self.mode in ("distortion", "perception"),
@@ -85,9 +82,11 @@ class TrainConfig:
 
     def model_config(self):
         """The network this config trains."""
-        return ModelConfig(kernel_size=self.kernel_size, dilation=self.dilation,
-                           depth=self.depth, widths=self.widths, seed=self.seed,
-                           warp_mode=self.warp_mode)
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
+
+    def lr_at(self, epoch):
+        """Learning rate for a zero-based epoch index: lr halved every schedule_period."""
+        return self.lr * 0.5 ** (epoch // self.schedule_period)
 
 
 def infer(model, first, last, threads=1):
@@ -95,7 +94,7 @@ def infer(model, first, last, threads=1):
     x = np.concatenate([first, last]).astype(np.float64, copy=False)[None]
     out = model.forward(x)[0]  # drops the network tape before the warps
     frames, (pf, pb), _ = synthesize(model.config, out, x, threads)
-    return frames[0], pf.at(0), pb.at(0), out.occ[0]
+    return frames[0], pf.at(0), pb.at(0), out["occ"][0]
 
 
 def _batch_losses_and_grads(model, batch, config, disc=None):
@@ -187,10 +186,9 @@ def train(config, out_dir, log=None):
     train_set = triplets[:-n_val]
     val_set = triplets[-n_val:]
 
+    model = SynthModel(config.model_config())  # before the run directory: it may not fit
     os.makedirs(out_dir, exist_ok=True)
-    model = SynthModel(config.model_config())
     state = AdaMaxState(lr=config.lr)
-    schedule = Schedule(initial_lr=config.lr, period=config.schedule_period)
     rng = np.random.default_rng(config.seed)
     history = []
     csv_path = os.path.join(out_dir, "metrics.csv")
@@ -208,7 +206,7 @@ def train(config, out_dir, log=None):
             disc = Discriminator(seed=config.seed + 1)
             disc_state = AdaMaxState(lr=config.lr)
         for _ in range(n_epochs):
-            state.lr = schedule.lr_at(epoch_index)
+            state.lr = config.lr_at(epoch_index)
             order = rng.permutation(len(train_set))
             step_losses = []
             for start in range(0, len(order) - config.batch + 1, config.batch):

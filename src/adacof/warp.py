@@ -228,46 +228,28 @@ def occlusion_blend_vjp(fwd, bwd, v, upstream):
 def project_mode(mode, weights, alpha, beta):
     """Constrain raw parameter maps to a mode's structure, with a VJP.
 
-    Returns ((weights, alpha, beta), vjp) where vjp maps gradients on the
-    constrained maps back onto the raw maps. The maps are (F*F, H, W), or
-    (B, F*F, H, W) for a batch. All modes keep the full-map shapes so
-    everything still evaluates through forward_warp. 'fb' maps pass through:
-    its single tap is ModelConfig's F=1, d=0; 'woocc' differs only in
-    synthesize's blend.
+    The maps are (F*F, H, W), or (B, F*F, H, W) for a batch, and keep their
+    shapes so everything still evaluates through forward_warp. 'fb' maps
+    pass through: its single tap is ModelConfig's F=1, d=0; 'woocc' differs
+    only in synthesize's blend. Returns ((weights, alpha, beta), vjp). Each
+    mode is an orthogonal projection (identity, zero offsets, or a mean
+    broadcast back), linear and self-adjoint, so the vjp is the projection.
     """
-    n = weights.shape[-3]
-    hw = weights.shape[-2] * weights.shape[-1]
-    if mode in (WarpMode.ADACOF, WarpMode.FLOW_ONLY, WarpMode.NO_OCCLUSION):
-        return (weights, alpha, beta), lambda gw, ga, gb: (gw, ga, gb)
-    if mode is WarpMode.KERNEL_ONLY:
-        zero = np.zeros_like(alpha)
-        return ((weights, zero, zero.copy()),
-                lambda gw, ga, gb: (gw, np.zeros_like(ga), np.zeros_like(gb)))
-    if mode is WarpMode.SHARED_WEIGHT:
-        # one weight vector for the whole image: spatial mean of the
-        # per-pixel simplex points (still on the simplex), broadcast back
-        shared = weights.mean(axis=(-2, -1), keepdims=True)
-        w_out = np.broadcast_to(shared, weights.shape).copy()
+    mode = WarpMode(mode)
 
-        def vjp(gw, ga, gb):
-            gw_raw = np.broadcast_to(gw.sum(axis=(-2, -1), keepdims=True) / hw,
-                                     weights.shape).copy()
-            return gw_raw, ga, gb
+    def mean(arr, axis):  # broadcast back to the full shape
+        return np.broadcast_to(arr.mean(axis=axis, keepdims=True), arr.shape).copy()
 
-        return (w_out, alpha, beta), vjp
-    if mode is WarpMode.SDC:
-        # a single flow vector per pixel (tap-mean of the raw offsets)
-        # shared by every tap of the rigid dilated kernel
-        a_out = np.broadcast_to(alpha.mean(axis=-3, keepdims=True), alpha.shape).copy()
-        b_out = np.broadcast_to(beta.mean(axis=-3, keepdims=True), beta.shape).copy()
+    def project(w, a, b):
+        if mode is WarpMode.KERNEL_ONLY:
+            return w, np.zeros_like(a), np.zeros_like(b)
+        if mode is WarpMode.SHARED_WEIGHT:  # one weight vector: the spatial mean, a simplex point
+            return mean(w, (-2, -1)), a, b
+        if mode is WarpMode.SDC:  # one flow per pixel, the tap mean, shared by every tap
+            return w, mean(a, -3), mean(b, -3)
+        return w, a, b
 
-        def vjp(gw, ga, gb):
-            ga_raw = np.broadcast_to(ga.sum(axis=-3, keepdims=True) / n, alpha.shape).copy()
-            gb_raw = np.broadcast_to(gb.sum(axis=-3, keepdims=True) / n, beta.shape).copy()
-            return gw, ga_raw, gb_raw
-
-        return (weights, a_out, b_out), vjp
-    raise ValueError(f"unknown warp mode {mode!r}")
+    return project(weights, alpha, beta), project
 
 
 def save_acof(path, params, occlusion=None):
@@ -296,6 +278,9 @@ def load_acof(path):
     version, fsize, dil, h, w = struct.unpack_from("<5I", data, 4)
     if version != ACOF_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
+    if min(fsize, h, w) < 1:
+        raise ValueError(f"{path}: header declares F={fsize} at {h}x{w}; "
+                         "F and both sides must be at least 1")
     f2 = fsize * fsize
     expected = offset + 4 * (3 * f2 + 1) * h * w
     if len(data) != expected:
@@ -304,7 +289,10 @@ def load_acof(path):
     payload = np.frombuffer(data, dtype="<f4", offset=offset).astype(np.float64)
     weights, alpha, beta = payload[:3 * f2 * h * w].reshape(3, f2, h, w)
     params = WarpParams(weights, alpha, beta, kernel_size=fsize, dilation=dil)
-    params.validate()
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     occ = payload[3 * f2 * h * w:].reshape(h, w)
     if not (occ.min() >= 0.0 and occ.max() <= 1.0):  # also rejects NaN
         raise ValueError(f"{path}: occlusion map spans [{occ.min():g}, {occ.max():g}], "

@@ -2,7 +2,10 @@
 
 import json
 import os
+import resource
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -294,6 +297,33 @@ def test_training_config_names_the_bad_key(dataset, tmp_path, capsys, change, cu
     cfg.write_text(text[:-1] if cut else text)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def _limit_address_space():
+    """Cap the child at 2 GiB, so that no host tries a huge allocation."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"widths": [100000000]},
+     "out of memory for widths [100000000] and kernel_size 3: 270,000,059,700,000,055 parameters"),
+    ({"F": 100000},
+     "out of memory for widths [4] and kernel_size 100000: 2,220,000,000,877 parameters"),
+], ids=["huge-widths", "huge-kernel-size"])
+def test_training_config_too_large_for_memory_names_the_file(dataset, tmp_path, change,
+                                                             message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset_dir": dataset, "F": 3, "depth": 1, "widths": [4],
+                               "batch": 2, "epochs": 1, **change}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "adacof.cli", "train", "--config", str(cfg),
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout == "" and proc.stderr == f"error: {cfg}: {message}\n"
     assert not (tmp_path / "run").exists()
 
 

@@ -87,8 +87,8 @@ def test_augment_flip_consistency():
         if draws[0] < 0.5 and draws[1] >= 0.5 and draws[2] >= 0.5:
             a = augment(t, seed)
             np.testing.assert_array_equal(a.first, t.first[:, :, ::-1])
-            np.testing.assert_allclose(a.flow[1], -t.flow[1][:, ::-1])
-            np.testing.assert_allclose(a.flow[0], t.flow[0][:, ::-1])
+            np.testing.assert_array_equal(a.last, t.last[:, :, ::-1])
+            assert a.flow is None and a.occlusion is None
             return
     pytest.fail("no horizontal-flip-only seed found")
 
@@ -106,17 +106,35 @@ def test_augment_swap_consistency():
             np.testing.assert_array_equal(a.first, t.last)
             np.testing.assert_array_equal(a.last, t.first)
             np.testing.assert_array_equal(a.middle, t.middle)
-            np.testing.assert_allclose(a.flow, -t.flow)
-            np.testing.assert_allclose(a.occlusion, 1.0 - t.occlusion)
+            assert a.flow is None and a.occlusion is None
             return
     pytest.fail("no swap-only seed found")
+
+
+def test_augment_draws_crop_flips_and_swap_in_order():
+    """The frames of each seed's draws (crop corner, horizontal flip,
+    vertical flip, swap); no motion truth comes back."""
+    t = generate_triplet(MotionSpec(kind="occluder", displacement=(1.0, 2.0)), 24, seed=3)
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        y0, x0 = rng.integers(0, 9), rng.integers(0, 9)
+        frames = [f[:, y0:y0 + 16, x0:x0 + 16] for f in (t.first, t.middle, t.last)]
+        for axis in (2, 1):
+            if rng.random() < 0.5:
+                frames = [np.flip(f, axis) for f in frames]
+        if rng.random() < 0.5:
+            frames = frames[::-1]
+        a = augment(t, seed, crop=16)
+        for got, want in zip((a.first, a.middle, a.last), frames):
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.c_contiguous
+        assert a.flow is None and a.occlusion is None
 
 
 def test_augment_crop_shapes():
     t = generate_triplet(MotionSpec(displacement=(1.0, 1.0)), 24, seed=7)
     a = augment(t, 0, crop=16)
-    assert a.first.shape == (3, 16, 16)
-    assert a.flow.shape == (2, 16, 16)
+    assert a.first.shape == a.middle.shape == a.last.shape == (3, 16, 16)
     with pytest.raises(ValueError):
         augment(t, 0, crop=32)
 

@@ -1,5 +1,6 @@
 """Parameter-estimator network tests."""
 
+import json
 import struct
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from adacof.model import (HEAD_NAMES, ModelConfig, SynthModel, _box5, load_checkpoint,
-                          motion_features, save_checkpoint, synthesize)
+                          motion_features, param_shapes, save_checkpoint, synthesize)
 from adacof.train import infer
 from adacof.warp import (WarpMode, WarpParams, backward_warp_vjp, forward_warp,
                          occlusion_blend, occlusion_blend_vjp, project_mode)
@@ -27,11 +28,11 @@ def test_output_shapes_and_constraints():
     model = SynthModel(cfg)
     x = np.random.default_rng(0).random((2, 6, 16, 16))
     out, _ = model.forward(x)
-    assert out.weight_f.shape == (2, 9, 16, 16)
-    assert out.occ.shape == (2, 16, 16)
-    np.testing.assert_allclose(out.weight_f.sum(axis=1), 1.0, atol=1e-12)
-    assert out.weight_b.min() > 0.0
-    assert 0.0 < out.occ.min() and out.occ.max() < 1.0
+    assert out["weight_f"].shape == (2, 9, 16, 16)
+    assert out["occ"].shape == (2, 16, 16)
+    np.testing.assert_allclose(out["weight_f"].sum(axis=1), 1.0, atol=1e-12)
+    assert out["weight_b"].min() > 0.0
+    assert 0.0 < out["occ"].min() and out["occ"].max() < 1.0
 
 
 def test_untrained_model_emits_neutral_parameters():
@@ -40,9 +41,9 @@ def test_untrained_model_emits_neutral_parameters():
     model = SynthModel(cfg)
     x = np.random.default_rng(1).random((1, 6, 16, 16))
     out, _ = model.forward(x)
-    np.testing.assert_allclose(out.weight_f, 1.0 / 9.0, atol=1e-12)
-    np.testing.assert_allclose(out.alpha_f, 0.0, atol=1e-12)
-    np.testing.assert_allclose(out.occ, 0.5, atol=1e-12)
+    np.testing.assert_allclose(out["weight_f"], 1.0 / 9.0, atol=1e-12)
+    np.testing.assert_allclose(out["alpha_f"], 0.0, atol=1e-12)
+    np.testing.assert_allclose(out["occ"], 0.5, atol=1e-12)
 
 
 def test_head_is_one_convolution_stacked_in_head_names_order():
@@ -59,7 +60,7 @@ def test_head_is_one_convolution_stacked_in_head_names_order():
             group = 1.0 / (1.0 + np.exp(-group[0]))
         elif name.startswith("weight"):
             group = np.exp(group) / np.exp(group).sum()
-        np.testing.assert_allclose(getattr(out, name)[0][..., 5, 3], group, rtol=1e-12,
+        np.testing.assert_allclose(out[name][0][..., 5, 3], group, rtol=1e-12,
                                    err_msg=name)
 
 
@@ -74,8 +75,8 @@ def test_batch_elements_are_independent():
     both, _ = model.forward(np.concatenate([x1, x2]))
     solo1, _ = model.forward(x1)
     solo2, _ = model.forward(x2)
-    np.testing.assert_array_equal(both.alpha_f[0], solo1.alpha_f[0])
-    np.testing.assert_array_equal(both.alpha_f[1], solo2.alpha_f[0])
+    np.testing.assert_array_equal(both["alpha_f"][0], solo1["alpha_f"][0])
+    np.testing.assert_array_equal(both["alpha_f"][1], solo2["alpha_f"][0])
 
 
 def test_input_validation():
@@ -126,13 +127,13 @@ def test_synthesize_matches_per_pair_composition(mode):
         images = (x[i, :3], x[i, 3:])
         params, vjps = [], []
         for names, got_p in zip(directions, (p.at(i) for p in synth_params)):
-            (w, a, b), vjp = project_mode(mode, *(getattr(out, n)[i] for n in names))
+            (w, a, b), vjp = project_mode(mode, *(out[n][i] for n in names))
             assert all(np.array_equal(got, want) for got, want in
                        ((got_p.weights, w), (got_p.alpha, a), (got_p.beta, b)))
             params.append(WarpParams(w, a, b, cfg.kernel_size, cfg.dilation))
             vjps.append(vjp)
         warped = [forward_warp(img, p) for img, p in zip(images, params)]
-        v = out.occ[i] if occ_on else np.full_like(out.occ[i], 0.5)
+        v = out["occ"][i] if occ_on else np.full_like(out["occ"][i], 0.5)
         assert np.array_equal(frames[i], occlusion_blend(*warped, v))
         *g_warped, g_occ = occlusion_blend_vjp(*warped, v, upstream[i])
         if not occ_on:
@@ -167,11 +168,11 @@ def test_network_vjp_matches_directional_differences(depth):
         model.params[name] = rng.normal(0, 0.3, size=model.params[name].shape)
     x = rng.random((1, 6, 8, 8))
     out, tape = model.forward(x)
-    upstream = {name: rng.normal(size=getattr(out, name).shape) for name in HEAD_NAMES}
+    upstream = {name: rng.normal(size=out[name].shape) for name in HEAD_NAMES}
 
     def loss(params):
         o, _ = SynthModel(cfg, params).forward(x)
-        return sum(float((getattr(o, name) * upstream[name]).sum()) for name in HEAD_NAMES)
+        return sum(float((o[name] * upstream[name]).sum()) for name in HEAD_NAMES)
 
     grads = model.backward(tape, upstream)
     h = 1e-5
@@ -318,3 +319,99 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"XXXX" + b"\0" * 32)
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [(65536,) * 4, (2**32 - 1,) * 3 + (0,)],
+                         ids=["product-wraps-to-zero", "zero-dimension"])
+def test_checkpoint_shape_is_compared_before_its_bytes_are_read(tmp_path, shape):
+    """np.prod of these shapes is 0 in int64; the shape is refused first."""
+    path = tmp_path / "m.ackp"
+    save_checkpoint(path, SynthModel(_tiny_config()))
+    data = bytearray(path.read_bytes())
+    pos = 12 + struct.unpack_from("<I", data, 8)[0] + 4  # the first tensor's name length
+    pos += 4 + struct.unpack_from("<I", data, pos)[0]  # its ndim, then its one dimension
+    data[pos:pos + 8] = struct.pack("<5I", 4, *shape)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == (f"{path}: tensor bottleneck.b is {shape} in the file "
+                              "but (8,) in its model config")
+
+
+def _u32_fields(data):
+    """Offsets of every u32 of a checkpoint (version, config length, tensor
+    count, then each tensor's name length, ndim and dimensions), and of
+    each tensor's ndim."""
+    blob_len = struct.unpack_from("<I", data, 8)[0]
+    offsets, ndims, pos = [4, 8, 12 + blob_len], [], 16 + blob_len
+    while pos < len(data):
+        offsets.append(pos)
+        pos += 4 + struct.unpack_from("<I", data, pos)[0]
+        ndim = struct.unpack_from("<I", data, pos)[0]
+        ndims.append(pos)
+        offsets.extend(range(pos, pos + 4 * (ndim + 1), 4))
+        shape = struct.unpack_from(f"<{ndim}I", data, pos + 4)
+        pos += 4 * (ndim + 1) + 4 * int(np.prod(shape))
+    return offsets, ndims
+
+
+def _mutated(data, draw):
+    """A valid checkpoint after one or two mutations: cut, extended, a byte
+    flipped, a u32 header or shape field rewritten, a tensor's whole shape
+    replaced, or a config block value replaced."""
+    offsets, ndims = _u32_fields(data)
+    extreme = st.sampled_from([0, 1, 2**16, 2**32 - 1])
+    kinds = draw(st.lists(st.sampled_from(["cut", "extend", "flip", "field", "shape",
+                                           "config"]), min_size=1, max_size=2))
+    for kind in kinds:
+        if kind == "cut":
+            data = data[:-draw(st.integers(1, len(data)))]
+        elif kind == "extend":
+            data += draw(st.binary(min_size=1, max_size=8))
+        elif kind == "flip" and data:
+            i = draw(st.integers(0, len(data) - 1))
+            data = data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]
+        elif kind == "field":  # at the valid file's offsets
+            i = draw(st.sampled_from(offsets))
+            value = draw(st.one_of(extreme, st.integers(0, 2**32 - 1)))
+            data = data[:i] + struct.pack("<I", value) + data[i + 4:]
+        elif kind == "shape":
+            i = draw(st.sampled_from(ndims))
+            old_ndim = struct.unpack_from("<I", data, i)[0] if i + 4 <= len(data) else 0
+            shape = draw(st.lists(extreme, max_size=4))
+            data = (data[:i] + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
+                    + data[i + 4 * (old_ndim + 1):])
+        elif kind == "config":
+            try:  # an earlier mutation may have left no config block
+                blob_len = struct.unpack_from("<I", data, 8)[0]
+                block = json.loads(data[12:12 + blob_len])
+            except (ValueError, struct.error):
+                continue
+            if isinstance(block, dict):
+                block[draw(st.sampled_from(sorted(block)))] = draw(st.one_of(
+                    st.integers(-2, 2**70), st.lists(st.integers(-1, 2**40), max_size=3),
+                    st.sampled_from(["kb", "fb", "zzz", None, 1.5])))
+                blob = json.dumps(block).encode()
+                data = data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + blob_len:]
+    return data
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_load_checkpoint_gives_a_model_or_names_the_file(tmp_path_factory, data):
+    """A depth-1 model's checkpoint, mutated, loads as a model of its
+    config's shapes or raises a ValueError starting with the path."""
+    cfg = ModelConfig(kernel_size=data.draw(st.integers(1, 2)), depth=1,
+                      widths=(data.draw(st.integers(1, 3)),))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    model = SynthModel(cfg, {name: rng.normal(size=shape)
+                             for name, shape in param_shapes(cfg).items()})
+    path = tmp_path_factory.getbasetemp() / "mutated.ackp"
+    save_checkpoint(path, model, extra={"epoch": 0})
+    path.write_bytes(_mutated(path.read_bytes(), data.draw))
+    try:
+        back = load_checkpoint(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert {name: p.shape for name, p in back.params.items()} == param_shapes(back.config)

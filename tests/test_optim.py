@@ -1,9 +1,9 @@
-"""Optimizer fixtures and schedule tests."""
+"""Optimizer fixtures."""
 
 import numpy as np
 import pytest
 
-from adacof.optim import AdaMaxState, Schedule, adamax_step
+from adacof.optim import AdaMaxState, adamax_step
 
 
 def test_single_step_fixture():
@@ -55,12 +55,3 @@ def test_nonfinite_gradient_raises():
     with pytest.raises(FloatingPointError):
         adamax_step(state, params, {"p": np.array([np.nan])})
 
-
-def test_schedule_halves_every_period():
-    s = Schedule(initial_lr=0.001, period=20)
-    assert s.lr_at(0) == 0.001
-    assert s.lr_at(19) == 0.001
-    assert s.lr_at(20) == 0.0005
-    assert s.lr_at(40) == 0.00025
-    with pytest.raises(ValueError):
-        Schedule(period=0)

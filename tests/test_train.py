@@ -2,14 +2,15 @@
 
 import json
 import os
-from dataclasses import replace
+import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from adacof.cli import main
 from adacof.datagen import load_triplet, read_manifest, write_dataset
-from adacof.model import SynthModel, load_checkpoint
+from adacof.model import ModelConfig, SynthModel, load_checkpoint
 from adacof.train import TrainConfig, evaluate, infer, mean_metrics, train
 
 
@@ -46,6 +47,12 @@ def test_final_checkpoint_reproduces_model(tiny_dataset, tmp_path):
     model, _ = train(_tiny_config(tiny_dataset), str(out))
     back = load_checkpoint(out / "ckpt_final.ackp")
     assert back.config == model.config and back.config.warp_mode == "adacof"
+    # the config block is the model's: no training field rides along
+    data = (out / "ckpt_final.ackp").read_bytes()
+    (n,) = struct.unpack_from("<I", data, 8)
+    block = json.loads(data[12:12 + n])
+    assert sorted(block) == sorted([f.name for f in fields(ModelConfig)] + ["extra"])
+    assert block["seed"] == 0 and block["kernel_size"] == 3
     t = load_triplet(os.path.join(tiny_dataset, "0000"))
     a, _, _, _ = infer(model, t.first, t.last)
     b, _, _, _ = infer(back, t.first, t.last)
@@ -101,6 +108,15 @@ def test_perception_phase_runs(tiny_dataset, tmp_path):
     _, history = train(cfg, str(tmp_path / "run"))
     assert [row["phase"] for row in history] == ["distortion", "perception"]
     assert np.isfinite(history[-1]["loss"])
+
+
+def test_lr_at_halves_every_period():
+    cfg = TrainConfig(lr=0.001, schedule_period=20)
+    assert [cfg.lr_at(e) for e in (0, 19, 20, 39, 40)] == [0.001, 0.001, 0.0005, 0.0005,
+                                                            0.00025]
+    assert TrainConfig().seed == 7 and ModelConfig().seed == 0
+    with pytest.raises(ValueError, match="schedule_period must be >= 1, got 0"):
+        TrainConfig(schedule_period=0)
 
 
 def test_config_json_roundtrip(tmp_path):

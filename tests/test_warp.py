@@ -1,13 +1,17 @@
 """Warp operator tests: oracle equivalence, exact special cases, modes,
 occlusion blending, and the binary parameter dump."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adacof.core import sample_grid
 from adacof.gradcheck import block_rel_err, fd_gradient
 from adacof.model import ModelConfig
-from adacof.warp import (WarpMode, WarpParams, backward_warp_image_vjp,
+from adacof.warp import (ACOF_MAGIC, WarpMode, WarpParams, backward_warp_image_vjp,
                          backward_warp_vjp, forward_warp, identity_params,
                          load_acof, occlusion_blend, project_mode, save_acof)
 
@@ -176,6 +180,31 @@ def test_mode_projection_vjps_match_finite_differences():
             assert grad[idx] == pytest.approx((plus - minus) / (2 * h), abs=1e-6)
 
 
+@pytest.mark.parametrize("mode", list(WarpMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batched"])
+def test_mode_projection_is_its_own_vjp(mode, batch):
+    """The vjp is the projection: bit for bit the closed forms sum/hw (ws),
+    sum/n (sdc), zero offsets (kb) and identity, and <P x, y> = <x, P y>."""
+    rng = np.random.default_rng(13)
+    n, h, w = 9, 4, 5
+    x = [rng.normal(size=batch + (n, h, w)) for _ in range(3)]
+    y = [rng.normal(size=batch + (n, h, w)) for _ in range(3)]
+    px, vjp = project_mode(mode, *x)
+    py = vjp(*y)
+    want = list(y)
+    if mode is WarpMode.KERNEL_ONLY:
+        want[1:] = [np.zeros_like(y[1]), np.zeros_like(y[2])]
+    elif mode is WarpMode.SHARED_WEIGHT:
+        want[0] = np.broadcast_to(y[0].sum(axis=(-2, -1), keepdims=True) / (h * w), y[0].shape)
+    elif mode is WarpMode.SDC:
+        want[1:] = [np.broadcast_to(g.sum(axis=-3, keepdims=True) / n, g.shape) for g in y[1:]]
+    for got, expected in zip(py, want):
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+    lhs = sum(float((p * v).sum()) for p, v in zip(px, y))
+    rhs = sum(float((u * p).sum()) for u, p in zip(x, py))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
 def test_warp_vjp_matches_directional_derivative():
     rng = np.random.default_rng(12)
     image, weights, alpha, beta = random_instance(rng, 5, 3, 1, channels=1)
@@ -329,3 +358,76 @@ def test_acof_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 64)
     with pytest.raises(ValueError):
         load_acof(path)
+
+
+def _acof_bytes(fields, payload):
+    """An .acof file: magic, the (version, F, d, H, W) header, float32 payload."""
+    return ACOF_MAGIC + struct.pack("<5I", *fields) + np.asarray(payload, "<f4").tobytes()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((1, 1, 0, 0, 4), "header declares F=1 at 0x4"),
+    ((1, 1, 0, 4, 0), "header declares F=1 at 4x0"),
+    ((1, 2**32 - 1, 0, 0, 0), f"header declares F={2**32 - 1} at 0x0"),
+    ((1, 0, 0, 2, 2), "header declares F=0 at 2x2"),
+], ids=["zero-height", "zero-width", "huge-kernel-no-pixels", "zero-kernel"])
+def test_acof_header_out_of_range_names_file(tmp_path, fields, message):
+    path = tmp_path / "bad.acof"
+    path.write_bytes(_acof_bytes(fields, np.full(4, 0.5)))
+    with pytest.raises(ValueError) as exc:
+        load_acof(path)
+    assert str(exc.value).startswith(f"{path}: {message}; F and both sides must be at least 1")
+
+
+def test_acof_with_weights_off_the_simplex_names_file(tmp_path):
+    path = tmp_path / "bad.acof"
+    path.write_bytes(_acof_bytes((1, 1, 0, 1, 1), [0.5, 0.0, 0.0, 0.5]))
+    with pytest.raises(ValueError) as exc:
+        load_acof(path)
+    assert str(exc.value) == f"{path}: kernel weights must sum to 1 at every pixel"
+
+
+@st.composite
+def mutated_acof(draw):
+    """A valid .acof of F <= 3 at up to 4x4 after one or two mutations: cut,
+    extended, a byte flipped, or a header field (version, F, d, H, W)
+    rewritten, with the payload refit to a small new header."""
+    f, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random((f * f, h, w))
+    fields = [1, f, draw(st.integers(0, 2)), h, w]
+    payload = np.concatenate([(weights / weights.sum(axis=0)).ravel(),
+                              rng.normal(size=2 * f * f * h * w), rng.random(h * w)])
+    kinds = draw(st.lists(st.sampled_from(["cut", "extend", "flip", "field"]),
+                          min_size=1, max_size=2))
+    if "field" in kinds:
+        fields[draw(st.integers(0, 4))] = draw(st.one_of(
+            st.sampled_from([0, 1, 2, 2**16, 2**32 - 1]), st.integers(0, 2**32 - 1)))
+        size = (3 * fields[1] ** 2 + 1) * fields[3] * fields[4]
+        if size <= 256:
+            payload = np.resize(payload, size)
+    data = _acof_bytes(fields, payload)
+    for kind in kinds:
+        if kind == "cut":
+            data = data[:-draw(st.integers(1, len(data)))]
+        elif kind == "extend":
+            data += draw(st.binary(min_size=1, max_size=8))
+        elif kind == "flip" and data:
+            i = draw(st.integers(0, len(data) - 1))
+            data = data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]
+    return data
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=mutated_acof())
+def test_load_acof_gives_valid_params_or_names_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.acof"
+    path.write_bytes(data)
+    try:
+        params, occ = load_acof(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    params.validate()
+    assert occ.shape == (params.height, params.width)
+    assert occ.min() >= 0.0 and occ.max() <= 1.0
