@@ -2,11 +2,12 @@
 
 An image is a plain (C, H, W) float64 array, checked only at the PPM files
 (see ppm). Computation runs in float64; .acof and .ackp files store float32.
-The sampler works one warp tap at a time: bilinear_corners maps (y, x)
-coordinates to the flat indices y*W + x of their cell's corners, which
-sample_grid gathers from the image flattened to (C, N) and interpolates;
-sample_grid_with_grad is its VJP side. The warp, its VJPs and the data
-generator all sample through these functions.
+The sampler works on any array of coordinates, such as a block of warp
+taps: bilinear_corners maps (y, x) coordinates to the flat indices
+y*W + x of their cell's corners, which sample_grid gathers from the image
+flattened to (C, N) and interpolates; sample_grid_with_grad is its VJP
+side. Every step is elementwise per coordinate. The warp, its VJPs and
+the data generator all sample through these functions.
 Boundary policy is replicate (coordinates clamped to the frame before
 corner lookup); the subgradient at exactly-integer coordinates uses the
 cell to the right/below (right-continuous convention).
@@ -18,9 +19,9 @@ from dataclasses import fields
 
 import numpy as np
 
-# the largest row band, in output pixels, that forward_warp and conv3x3's
-# forward work on at a time: small enough that each band's temporaries are
-# reused from the heap instead of freshly mapped
+# the most samples one warp sampler call takes (a row band times a block of
+# taps), and the most output pixels per band of conv3x3's forward: small
+# enough that the temporaries are reused from the heap, not freshly mapped
 BAND_PIXELS = 8192
 
 
@@ -87,7 +88,7 @@ def sample_grid(image, ys, xs):
 
     image is (C, H, W), giving (C,) + ys.shape; or a channel-major batch
     (C, B, H, W) with ys and xs shaped (B, ...), where ys[b] samples image
-    b, giving (C, B, ...). One call evaluates one warp tap.
+    b, giving (C, B, ...). One call evaluates a block of warp taps.
     """
     (v00, v01, v10, v11), fy, fx = _gather(image, ys, xs)
     gy, gx = 1.0 - fy, 1.0 - fx
@@ -95,7 +96,7 @@ def sample_grid(image, ys, xs):
 
 
 def sample_grid_with_grad(image, ys, xs, upstream):
-    """The VJP side of sample_grid for one warp tap.
+    """The VJP side of sample_grid for a block of warp taps.
 
     upstream is shaped like sample_grid's result. Returns (value, d_dy,
     d_dx), each shaped like ys: the channel sum of upstream * sample and

@@ -14,7 +14,7 @@ import numpy as np
 from .losses import (Discriminator, charbonnier_l1, discriminator_loss,
                      generator_entropy_loss, perceptual_loss)
 from .model import ModelConfig, SynthModel, synthesize
-from .warp import (WarpParams, _tap_coords, backward_warp_image_vjp, backward_warp_vjp,
+from .warp import (WarpParams, _tap_blocks, backward_warp_image_vjp, backward_warp_vjp,
                    forward_warp, occlusion_blend, occlusion_blend_vjp)
 
 FD_STEP = 1e-3
@@ -115,7 +115,8 @@ def check_network(seed=0):
         out, net_tape = model.forward(x)
         frames, params, synth_vjp = synthesize(cfg, out, x)
         dist = min(np.abs(coords - np.round(coords)).min()
-                   for p in params for _, *yx in _tap_coords(p) for coords in yx)
+                   for p in params for _, *yx in _tap_blocks(p, cfg.kernel_size ** 2)
+                   for coords in yx)
         if dist > 2e-3:
             break
     else:

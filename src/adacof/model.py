@@ -82,8 +82,11 @@ def _box5(img):
     two axes, so for W > 1 the result is bit-identical to that two-axis sum
     (at W = 1 numpy sums each window as one contiguous run of 25).
     """
-    padded = np.pad(img, ((0, 0), (2, 2), (2, 2)), mode="edge")
-    h, w = img.shape[1:]
+    b, h, w = img.shape
+    padded = np.empty((b, h + 4, w + 4))  # replicate edge, copied in slices
+    padded[:, 2:-2, 2:-2] = img
+    padded[:, 2:-2, :2], padded[:, 2:-2, -2:] = img[:, :, :1], img[:, :, -1:]
+    padded[:, :2], padded[:, -2:] = padded[:, 2:3], padded[:, -3:-2]
     rows = padded[:, :, 0:w] + padded[:, :, 1:w + 1]
     for dj in range(2, 5):
         rows += padded[:, :, dj:dj + w]
@@ -317,7 +320,7 @@ def load_checkpoint(path):
                          f"only version {CKPT_VERSION} is supported")
     try:
         cfg = json.loads(take(blob_len).decode())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: config block is not valid JSON: {exc}") from None
     if isinstance(cfg, dict):
         cfg.pop("extra", None)

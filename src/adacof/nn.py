@@ -5,18 +5,23 @@ vjp maps an upstream gradient back to input (and parameter) gradients.
 SynthModel.backward replays them from a tape; model.synthesize and the
 classifier's forward compose them into vjp closures of their own.
 
-conv3x3 works channel-major inside, on the padded (C, B, H+2, W+2) input.
-Its im2col is filled from nine shifted slabs of that input, so each copy
-moves W-long runs. The forward builds it one (sample, row band) at a time,
-at most BAND_PIXELS output pixels, into a buffer the heap can reuse, and
+conv3x3 works channel-major inside, on the zero-padded (C, B, H+2, W+2)
+input: the input copied into its interior, then its border zeroed. Its
+im2col is filled from nine shifted slabs of that input, so each copy moves
+W-long runs. The forward builds it one (sample, row band) at a time, at
+most BAND_PIXELS output pixels, into a buffer the heap can reuse, and
 multiplies each band into its slice of the (O, B, H, W) output, returned
 as a transposed (B, O, H, W) view, C-contiguous at B=1. The vjp keeps only
 the padded input and rebuilds the whole (C*9, B*H*W) im2col for the kernel
 gradient. The input gradient adds each tap's gradient back at its shift,
 one sample at a time, on rows of pitch W+2, where a shift is one flat offset.
+upsample_bilinear2's interpolation matrices are built once per size and
+shared read-only.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -37,7 +42,9 @@ def conv3x3(x, kernel, bias):
     """Same-padded 3x3 convolution; vjp returns (gx, gkernel, gbias)."""
     b, c, h, w = x.shape
     o = kernel.shape[0]
-    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (1, 1), (1, 1)))
+    xp = np.empty((c, b, h + 2, w + 2))
+    xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+    xp[:, :, ::h + 1] = xp[..., ::w + 1] = 0.0  # the border rows and columns
     kmat = kernel.reshape(o, c * 9)
     y = np.empty((o, b, h, w))
     rows = max(1, BAND_PIXELS // w)
@@ -89,6 +96,7 @@ def avgpool2(x):
     return y, vjp
 
 
+@functools.lru_cache(maxsize=None)
 def _upsample_matrix(n):
     """(2n, n) bilinear interpolation matrix (half-pixel-centered, clamped)."""
     src = np.clip((np.arange(2 * n) + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
@@ -98,6 +106,7 @@ def _upsample_matrix(n):
     m = np.zeros((2 * n, n))
     np.add.at(m, (np.arange(2 * n), i0), 1.0 - f)
     np.add.at(m, (np.arange(2 * n), i1), f)
+    m.flags.writeable = False
     return m
 
 

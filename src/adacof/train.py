@@ -74,7 +74,7 @@ class TrainConfig(ModelConfig):
         with open(path) as f:
             try:
                 raw = json.load(f)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}: not valid JSON: {exc}") from None
         if isinstance(raw, dict):
             raw = {KEY_ALIASES.get(k, k): v for k, v in raw.items()}

@@ -8,7 +8,9 @@ kernel-only, shared-weight and shift-then-kernel cases, and no occlusion.
 Per output pixel (i, j) the operator sums F*F bilinear samples of the input
 at (i + d*k - d*(F-1)/2 + alpha[k,l], j + d*l - d*(F-1)/2 + beta[k,l]),
 combined with per-pixel convex weights. The tap grid is centered so that
-zero offsets give a symmetric kernel around the output pixel.
+zero offsets give a symmetric kernel around the output pixel. The sampler
+takes the taps in blocks of at most BAND_PIXELS samples, and the sums run
+one tap at a time in tap order, so no output depends on the block size.
 """
 
 from __future__ import annotations
@@ -105,14 +107,16 @@ def identity_params(height, width):
                       np.zeros((1, height, width)), kernel_size=1, dilation=0)
 
 
-def _tap_coords(params, rows=slice(None)):
-    """Yield (t, ys, xs): the sampling coordinates of tap t on the given rows."""
+def _tap_blocks(params, per_block, rows=slice(None)):
+    """Yield (taps, ys, xs): the sampling coordinates on the given rows of a
+    slice of at most per_block taps, shaped (..., T, rows, W)."""
     gy, gx = params.tap_grid_offsets()
     i = np.arange(params.height, dtype=np.float64)[rows][:, None]
     j = np.arange(params.width, dtype=np.float64)
-    for t in range(len(gy)):
-        yield (t, (i + gy[t]) + params.alpha[..., t, rows, :],
-               (j + gx[t]) + params.beta[..., t, rows, :])
+    for t in range(0, len(gy), per_block):
+        taps = slice(t, t + per_block)
+        yield (taps, (i + gy[taps, None, None]) + params.alpha[..., taps, rows, :],
+               (j + gx[taps, None, None]) + params.beta[..., taps, rows, :])
 
 
 def _as_batch(image, params):
@@ -127,9 +131,10 @@ def forward_warp(image, params, threads=1, validate=True):
     """Warp a (C, H, W) image by (F*F, H, W) maps, or a
     (B, C, H, W) batch by (B, F*F, H, W) maps, bit-identical per sample.
 
-    Output pixels are convex sums of bilinear samples, accumulated one tap
-    at a time over row bands (at most BAND_PIXELS pixels, one per thread or
-    more); every operation is elementwise per pixel, so any thread count
+    Output pixels are convex sums of bilinear samples over row bands (one
+    per thread or more). Each band samples a block of taps per call, at
+    most BAND_PIXELS samples, then adds the taps in tap order; every
+    operation is elementwise per pixel, so any thread count or block size
     gives the same bits. validate=False skips the weight-simplex check
     (finite-difference probing evaluates slightly off the simplex).
     """
@@ -141,11 +146,14 @@ def forward_warp(image, params, threads=1, validate=True):
 
     def band(rows):
         out = 0.0
-        for t, ys, xs in _tap_coords(params, rows):
-            out += params.weights[:, t, rows] * sample_grid(src, ys, xs)
+        for taps, ys, xs in _tap_blocks(params, per_block, rows):
+            block = params.weights[:, taps, rows] * sample_grid(src, ys, xs)
+            for k in range(block.shape[2]):
+                out += block[:, :, k]
         return out
 
     rows_per = max(1, min(BAND_PIXELS // (b * w), -(-h // max(threads, 1))))
+    per_block = max(1, BAND_PIXELS // (b * rows_per * w))
     slices = [slice(r, r + rows_per) for r in range(0, h, rows_per)]
     if threads > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(slices))) as pool:
@@ -159,19 +167,21 @@ def forward_warp(image, params, threads=1, validate=True):
 def backward_warp_vjp(image, params, upstream):
     """VJP of forward_warp w.r.t. the maps: (grad_weights, grad_alpha, grad_beta).
 
-    Each tap's corners are recomputed from params by
-    core.sample_grid_with_grad. The image gradient, which training never
-    needs, is backward_warp_image_vjp.
+    The corners are recomputed from params by core.sample_grid_with_grad,
+    a block of taps over the whole frame per call, at most BAND_PIXELS
+    samples. The image gradient, which training never needs, is
+    backward_warp_image_vjp.
     """
     params.validate()
     pixels, params, single = _as_batch(image, params)
     src = np.ascontiguousarray(pixels.transpose(1, 0, 2, 3))
     up = np.ascontiguousarray(np.reshape(upstream, pixels.shape).transpose(1, 0, 2, 3))
     grads = [np.empty_like(params.weights) for _ in range(3)]
-    for t, ys, xs in _tap_coords(params):
-        grads[0][:, t], d_dy, d_dx = sample_grid_with_grad(src, ys, xs, up)
-        grads[1][:, t] = params.weights[:, t] * d_dy
-        grads[2][:, t] = params.weights[:, t] * d_dx
+    per_block = max(1, BAND_PIXELS // params.weights[:, 0].size)
+    for taps, ys, xs in _tap_blocks(params, per_block):
+        grads[0][:, taps], d_dy, d_dx = sample_grid_with_grad(src, ys, xs, up[:, :, None])
+        grads[1][:, taps] = params.weights[:, taps] * d_dy
+        grads[2][:, taps] = params.weights[:, taps] * d_dx
     return tuple(g[0] for g in grads) if single else tuple(grads)
 
 
@@ -179,19 +189,20 @@ def backward_warp_image_vjp(params, upstream):
     """VJP of forward_warp w.r.t. the image, shaped like upstream.
 
     All taps, corners and channels scatter in one bincount over flat
-    indices offset by (b*C + c)*H*W.
+    indices offset by (b*C + c)*H*W, listed one tap at a time (blocks of
+    one), since bincount sums each bin's entries in list order.
     """
     params.validate()
     up, params, single = _as_batch(upstream, params)
     b, c, h, w = up.shape
     offsets = (np.arange(b * c) * (h * w)).reshape(b, c, 1, 1)
     idx, vals = [], []
-    for t, ys, xs in _tap_coords(params):
+    for taps, ys, xs in _tap_blocks(params, 1):  # (B, 1, H, W) broadcasts over C
         i00, i01, i10, i11, fy, fx = bilinear_corners(h, w, ys, xs)
         gy, gx = 1.0 - fy, 1.0 - fx
         for i, coeff in ((i00, gy * gx), (i01, gy * fx), (i10, fy * gx), (i11, fy * fx)):
-            idx.append((offsets + i[:, None]).ravel())
-            vals.append(((params.weights[:, t] * coeff)[:, None] * up).ravel())
+            idx.append((offsets + i).ravel())
+            vals.append((params.weights[:, taps] * coeff * up).ravel())
     grad = np.bincount(np.concatenate(idx), np.concatenate(vals), b * c * h * w)
     return grad.reshape(up.shape)[0] if single else grad.reshape(up.shape)
 

@@ -1,11 +1,16 @@
 """Independent brute-force reference implementations used by the tests.
 
-Everything here is written as literal loops over output pixels and kernel
-taps, sharing no code with the package internals beyond the scalar
-bilinear sampler semantics (reimplemented locally).
+Everything here except the per-tap formulas at the end is written as
+literal loops over output pixels and kernel taps, sharing no code with the
+package internals beyond the scalar bilinear sampler semantics
+(reimplemented locally). The per-tap formulas call the package's sampler
+one tap at a time over the whole frame: they pin how the warp groups its
+taps, bit for bit, not what the sampler computes.
 """
 
 import numpy as np
+
+from adacof.core import bilinear_corners, sample_grid, sample_grid_with_grad
 
 
 def bilinear(channel, y, x):
@@ -122,3 +127,53 @@ def random_instance(rng, size, f, d, channels=3):
     beta = rng.uniform(-2.0, 2.0, size=(f2, size, size))
     image = rng.random((channels, size, size))
     return image, weights, alpha, beta
+
+
+def _per_tap_coords(params):
+    """(t, ys, xs) of each tap of batched params, each (B, H, W)."""
+    gy, gx = params.tap_grid_offsets()
+    i = np.arange(params.height, dtype=np.float64)[:, None]
+    j = np.arange(params.width, dtype=np.float64)
+    for t in range(len(gy)):
+        yield t, (i + gy[t]) + params.alpha[:, t], (j + gx[t]) + params.beta[:, t]
+
+
+def _channel_major(arr):
+    return np.ascontiguousarray(np.asarray(arr, dtype=np.float64).transpose(1, 0, 2, 3))
+
+
+def per_tap_warp(images, params):
+    """forward_warp of (B, C, H, W) images, one sample_grid call per tap,
+    added in tap order."""
+    src = _channel_major(images)
+    out = 0.0
+    for t, ys, xs in _per_tap_coords(params):
+        out += params.weights[:, t] * sample_grid(src, ys, xs)
+    return out.transpose(1, 0, 2, 3)
+
+
+def per_tap_warp_vjp(images, params, upstream):
+    """backward_warp_vjp of (B, C, H, W) images, one tap at a time."""
+    src, up = _channel_major(images), _channel_major(upstream)
+    grads = [np.empty_like(params.weights) for _ in range(3)]
+    for t, ys, xs in _per_tap_coords(params):
+        grads[0][:, t], d_dy, d_dx = sample_grid_with_grad(src, ys, xs, up)
+        grads[1][:, t] = params.weights[:, t] * d_dy
+        grads[2][:, t] = params.weights[:, t] * d_dx
+    return tuple(grads)
+
+
+def per_tap_image_vjp(params, upstream):
+    """backward_warp_image_vjp of a (B, C, H, W) upstream: every tap's
+    corner entries listed in tap order, summed by one bincount."""
+    b, c, h, w = upstream.shape
+    offsets = (np.arange(b * c) * (h * w)).reshape(b, c, 1, 1)
+    idx, vals = [], []
+    for t, ys, xs in _per_tap_coords(params):
+        i00, i01, i10, i11, fy, fx = bilinear_corners(h, w, ys, xs)
+        gy, gx = 1.0 - fy, 1.0 - fx
+        for i, coeff in ((i00, gy * gx), (i01, gy * fx), (i10, fy * gx), (i11, fy * fx)):
+            idx.append((offsets + i[:, None]).ravel())
+            vals.append(((params.weights[:, t] * coeff)[:, None] * upstream).ravel())
+    grad = np.bincount(np.concatenate(idx), np.concatenate(vals), b * c * h * w)
+    return grad.reshape(upstream.shape)

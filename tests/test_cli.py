@@ -245,6 +245,7 @@ def _rewrite_config_block(src, dst, edit):
      "config key 'depth' must be int, got '2'"),
     (lambda text: "[1]", "expected a JSON object, got list"),
     (lambda text: text[:-1], "config block is not valid JSON"),
+    (lambda text: "[" * 100000, "config block is not valid JSON: maximum recursion depth"),
     (lambda text: json.dumps({**json.loads(text), "warp_mode": "zzz"}),
      "warp_mode must be one of adacof, fb, kb, ws, sdc, woocc, got 'zzz'"),
     (lambda text: json.dumps({**json.loads(text), "warp_mode": 1}),
@@ -256,8 +257,9 @@ def _rewrite_config_block(src, dst, edit):
      "tensor head.b is (55,) in the file but (60000000001,) in its model config"),
     (lambda text: json.dumps({**json.loads(text), "depth": 2, "widths": [100000000, 16]}),
      "tensor bottleneck.b is (6,) in the file but (16,) in its model config"),
-], ids=["unknown-key", "wrong-type", "not-an-object", "not-json", "unknown-warp-mode",
-        "warp-mode-not-a-string", "negative-dilation", "huge-kernel-size", "huge-widths"])
+], ids=["unknown-key", "wrong-type", "not-an-object", "not-json", "deeply-nested",
+        "unknown-warp-mode", "warp-mode-not-a-string", "negative-dilation", "huge-kernel-size",
+        "huge-widths"])
 def test_checkpoint_config_block_names_the_bad_key(dataset, trained, tmp_path, capsys,
                                                    edit, message):
     ckpt = tmp_path / "bad.ackp"
@@ -297,6 +299,16 @@ def test_training_config_names_the_bad_key(dataset, tmp_path, capsys, change, cu
     cfg.write_text(text[:-1] if cut else text)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_deeply_nested_training_config_names_the_file(dataset, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100000)  # deeper than the decoder's recursion limit
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {cfg}: not valid JSON: maximum recursion depth" in captured.err
+    assert "Traceback" not in captured.err
     assert not (tmp_path / "run").exists()
 
 

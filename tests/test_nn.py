@@ -164,6 +164,13 @@ def test_upsample_bilinear2_constant_preserved():
     np.testing.assert_allclose(y, 0.7)
 
 
+def test_upsample_matrix_is_shared_and_refuses_writes():
+    m = nn._upsample_matrix(4)
+    assert nn._upsample_matrix(4) is m
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 1.0
+
+
 def test_upsample_bilinear2_vjp():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(1, 2, 3, 3))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adacof import warp
 from adacof.core import sample_grid
 from adacof.gradcheck import block_rel_err, fd_gradient
 from adacof.model import ModelConfig
@@ -15,8 +16,8 @@ from adacof.warp import (ACOF_MAGIC, WarpMode, WarpParams, backward_warp_image_v
                          backward_warp_vjp, forward_warp, identity_params,
                          load_acof, occlusion_blend, project_mode, save_acof)
 
-from oracles import (flow_only_oracle, kernel_only_oracle, random_instance,
-                     shift_then_kernel_oracle, warp_oracle)
+from oracles import (flow_only_oracle, kernel_only_oracle, per_tap_image_vjp, per_tap_warp,
+                     per_tap_warp_vjp, random_instance, shift_then_kernel_oracle, warp_oracle)
 
 
 def test_forward_matches_oracle_small():
@@ -310,6 +311,48 @@ def test_batched_image_vjp_matches_finite_differences():
     numeric = fd_gradient(lambda z: float((forward_warp(z, params) * upstream).sum()),
                           images.copy())
     assert block_rel_err(backward_warp_image_vjp(params, upstream), numeric) < 1e-4
+
+
+# at B=3, F=5 and 6x5 frames: one tap per block; 7 (or 21 unbatched, 14 on
+# two threads' 3-row bands) then a partial tail; all 25 taps in one block
+@pytest.mark.parametrize("band_pixels", [1, 630, 10**6], ids=["one-tap", "tail", "all-taps"])
+def test_tap_blocks_equal_the_per_tap_formula(monkeypatch, band_pixels):
+    monkeypatch.setattr(warp, "BAND_PIXELS", band_pixels)
+    rng = np.random.default_rng(20)
+    b, f, h, w = 3, 5, 6, 5
+    weights = rng.random((b, f * f, h, w))
+    params = WarpParams(weights / weights.sum(axis=1, keepdims=True),
+                        rng.uniform(-3.0, 3.0, (b, f * f, h, w)),
+                        rng.uniform(-3.0, 3.0, (b, f * f, h, w)), f, 1)
+    images, upstream = rng.random((b, 3, h, w)), rng.normal(size=(b, 3, h, w))
+    for threads in (1, 2):
+        np.testing.assert_array_equal(forward_warp(images, params, threads=threads),
+                                      per_tap_warp(images, params))
+        np.testing.assert_array_equal(forward_warp(images[0], params.at(0), threads=threads),
+                                      per_tap_warp(images[:1], params.at(slice(0, 1)))[0])
+    for got, want in zip(backward_warp_vjp(images, params, upstream),
+                         per_tap_warp_vjp(images, params, upstream)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(backward_warp_vjp(images[0], params.at(0), upstream[0]),
+                         per_tap_warp_vjp(images[:1], params.at(slice(0, 1)), upstream[:1])):
+        np.testing.assert_array_equal(got, want[0])
+    np.testing.assert_array_equal(backward_warp_image_vjp(params, upstream),
+                                  per_tap_image_vjp(params, upstream))
+    np.testing.assert_array_equal(backward_warp_image_vjp(params.at(0), upstream[0]),
+                                  per_tap_image_vjp(params.at(slice(0, 1)), upstream[:1])[0])
+
+
+def test_forward_warp_samples_eight_taps_per_call_at_32x32(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1].shape)
+        return sample_grid(*args)
+
+    monkeypatch.setattr(warp, "sample_grid", counting)
+    image, weights, alpha, beta = random_instance(np.random.default_rng(21), 32, 5, 1)
+    forward_warp(image, WarpParams(weights, alpha, beta, 5, 1))
+    assert calls == [(1, 8, 32, 32)] * 3 + [(1, 1, 32, 32)]
 
 
 def test_mismatched_batch_is_rejected():
