@@ -13,7 +13,7 @@ import numpy as np
 
 from .losses import (Discriminator, charbonnier_l1, discriminator_loss,
                      generator_entropy_loss, perceptual_loss)
-from .model import ModelConfig, SynthModel, synthesize
+from .model import ModelConfig, SynthModel, param_shapes, synthesize
 from .warp import (WarpParams, _tap_blocks, backward_warp_image_vjp, backward_warp_vjp,
                    forward_warp, occlusion_blend, occlusion_blend_vjp)
 
@@ -106,10 +106,9 @@ def check_network(seed=0):
     # with h=1e-3 see the subgradient jump instead of the derivative
     for attempt in range(KINK_FREE_ATTEMPTS):
         rng = np.random.default_rng((seed, attempt))
-        model = SynthModel(cfg)
         # random (not zero-head) parameters so every path carries signal
-        for name in model.params:
-            model.params[name] = rng.normal(0.0, 0.3, size=model.params[name].shape)
+        model = SynthModel(cfg, {name: rng.normal(0.0, 0.3, size=shape)
+                                 for name, shape in param_shapes(cfg).items()})
         x = rng.random((1, 6, 8, 8))  # first frame, then last
         gt = rng.random((3, 8, 8))
         out, net_tape = model.forward(x)

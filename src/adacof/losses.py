@@ -1,9 +1,9 @@
 """Training objectives: smooth L1, feature-space distance, and the
 dual-frame adversarial pair.
 
-The perceptual term compares features of a fixed 8-orientation gradient
-filter bank (no pretrained weights), which keeps the loss a deterministic
-feature-space distance.
+The perceptual term compares features of a fixed 8-orientation gradient filter
+bank (no pretrained weights), which keeps the loss a deterministic feature-space
+distance. The bank's features and the classifier run on nn's executor.
 """
 
 from __future__ import annotations
@@ -50,15 +50,10 @@ def gradient_bank_features(image):
     kernel = np.zeros((c * nf, c, 3, 3))
     for ch in range(c):
         kernel[ch * nf:(ch + 1) * nf, ch] = GRADIENT_BANK
-    y, bw_conv = nn.conv3x3(image[None], kernel, np.zeros(c * nf))
-    y, bw_relu = nn.relu(y)
-    y, bw_pool = nn.avgpool2(y)
-
-    def vjp(g):
-        gx, _, _ = bw_conv(bw_relu(bw_pool(g[None] if g.ndim == 3 else g)))
-        return gx[0]
-
-    return y[0], vjp
+    stages = [*nn.conv_unit("bank", "image", c * nf), ("features", "avgpool2", ("bank",), 0)]
+    values, tape = nn.forward(stages, {"bank.w": kernel, "bank.b": np.zeros(c * nf)},
+                              {"image": image[None]})
+    return values["features"][0], lambda g: nn.backward(tape, {"features": g[None]})["image"][0]
 
 
 def perceptual_loss(out, gt):
@@ -104,20 +99,19 @@ def generator_entropy_loss(c1, c2):
 
 
 class Discriminator:
-    """Tiny convolutional classifier on a temporal 2-frame concatenation.
+    """Tiny convolutional classifier on a temporal 2-frame concatenation:
+    two pooled conv units, then a one-channel conv whose mean is the logit.
 
     Maps (6, H, W) -> probability in (delta, 1 - delta); H and W must be
     divisible by 4.
     """
 
+    STAGES = [*nn.conv_unit("c0", "x", DISC_WIDTH), ("p0", "avgpool2", ("c0",), 0),
+              *nn.conv_unit("c1", "p0", DISC_WIDTH), ("p1", "avgpool2", ("c1",), 0),
+              ("c2", "conv3x3", ("p1",), 1), ("logit", "global_mean", ("c2",), 0)]
+
     def __init__(self, seed=0):
-        rng = np.random.default_rng(seed)
-        self.params = {}
-        for name, (cin, cout) in {"c0": (6, DISC_WIDTH), "c1": (DISC_WIDTH, DISC_WIDTH),
-                                  "c2": (DISC_WIDTH, 1)}.items():
-            std = np.sqrt(2.0 / (cin * 9))
-            self.params[f"{name}.w"] = rng.normal(0.0, std, size=(cout, cin, 3, 3))
-            self.params[f"{name}.b"] = np.zeros(cout)
+        self.params = nn.he_init(nn.param_shapes(self.STAGES, {"x": 6}), seed)
 
     def forward(self, x):
         """Returns (probability, vjp) for a single (6, H, W) input.
@@ -125,25 +119,13 @@ class Discriminator:
         vjp(dprob) returns fresh (param_grads, grad_input) on each call;
         clamped outputs get zero gradient.
         """
-        p = self.params
-        h, ops = x[None], []
-        for name in ("c0", "c1"):
-            h, bw_conv = nn.conv3x3(h, p[f"{name}.w"], p[f"{name}.b"])
-            h, bw_relu = nn.relu(h)
-            h, bw_pool = nn.avgpool2(h)
-            ops.append((name, bw_conv, bw_relu, bw_pool))
-        h, bw_conv = nn.conv3x3(h, p["c2.w"], p["c2.b"])
-        h, bw_mean = nn.global_mean(h)
-        prob_raw = 1.0 / (1.0 + math.exp(-float(h[0])))
+        values, tape = nn.forward(self.STAGES, self.params, {"x": x[None]})
+        prob_raw = 1.0 / (1.0 + math.exp(-float(values["logit"][0])))
 
         def vjp(dprob):
             if not (PROB_CLAMP < prob_raw < 1.0 - PROB_CLAMP):
                 dprob = 0.0
-            grads = {}
-            g = bw_mean(np.array([dprob * prob_raw * (1.0 - prob_raw)]))
-            g, grads["c2.w"], grads["c2.b"] = bw_conv(g)
-            for name, bw_c, bw_r, bw_p in reversed(ops):
-                g, grads[f"{name}.w"], grads[f"{name}.b"] = bw_c(bw_r(bw_p(g)))
-            return grads, g[0]
+            grads = nn.backward(tape, {"logit": np.array([dprob * prob_raw * (1.0 - prob_raw)])})
+            return {name: grads[name] for name in self.params}, grads["x"][0]
 
         return clamp_prob(prob_raw), vjp

@@ -7,7 +7,8 @@ horizontal offsets for each warp direction, and the occlusion map. Weight
 groups go through a per-pixel softmax over the tap axis, the occlusion
 group through a sigmoid, offset groups are left unconstrained. The head is
 zero-initialized so an untrained model emits uniform weights, zero
-offsets, and a 0.5 occlusion map.
+offsets, and a 0.5 occlusion map. The network is one nn stage list,
+unet_stages, from which the executor, param_shapes and the init all work.
 
 ModelConfig describes the whole model, its warp mode included; a checkpoint's
 config block is the ModelConfig, so a loaded model warps as it was trained.
@@ -51,10 +52,9 @@ class ModelConfig:
         if self.depth < 1 or len(self.widths) != self.depth or min(self.widths) <= 0:
             raise ValueError(f"widths must be one positive width per encoder level "
                              f"(depth {self.depth}), got {list(self.widths)}")
-        if self.kernel_size < 1:
-            raise ValueError(f"kernel_size must be >= 1, got {self.kernel_size!r}")
-        if self.dilation < 0:
-            raise ValueError(f"dilation must be >= 0, got {self.dilation!r}")
+        for key, low in (("kernel_size", 1), ("dilation", 0), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
 
     @property
     def head_sizes(self):
@@ -158,12 +158,30 @@ def synthesize(config, out, x, threads=1):
     return frames, (pf, pb), vjp
 
 
+def unet_stages(config):
+    """The network as an nn stage list: per level a conv unit and a pool down,
+    a bottleneck unit, per level an upsample, its skip and a conv unit up, the head."""
+    stages, h = [], "x"
+    for i, width in enumerate(config.widths):
+        stages += [*nn.conv_unit(f"enc{i}", h, width), (f"pool{i}", "avgpool2", (f"enc{i}",), 0)]
+        h = f"pool{i}"
+    stages += nn.conv_unit("bottleneck", h, config.widths[-1])
+    h = "bottleneck"
+    for i in reversed(range(config.depth)):
+        stages += [(f"up{i}", "upsample_bilinear2", (h,), 0),
+                   (f"cat{i}", "concat_channels", (f"up{i}", f"enc{i}"), 0),
+                   *nn.conv_unit(f"dec{i}", f"cat{i}", config.widths[i])]
+        h = f"dec{i}"
+    return stages + [("head", "conv3x3", (h,), sum(config.head_sizes))]
+
+
 class SynthModel:
-    """Fully convolutional parameter estimator with a hand-rolled tape."""
+    """Fully convolutional parameter estimator: unet_stages on nn's executor."""
 
     def __init__(self, config, params=None):
         self.config = config
-        self.params = params if params is not None else init_params(config)
+        self.params = params if params is not None else nn.he_init(
+            param_shapes(config), config.seed, zeroed=("head",))
 
     def forward(self, x):
         """Run the network on (B, IN_CHANNELS, H, W); returns (outputs, tape),
@@ -178,36 +196,16 @@ class SynthModel:
         div = 2 ** cfg.depth
         if h % div or w % div:
             raise ValueError(f"input {h}x{w} not divisible by 2^depth = {div}")
-        x = np.concatenate([x, motion_features(x)], axis=1)
-        p = self.params
-        tape = {"enc": [], "dec": []}
-        skips = []
-        for i in range(cfg.depth):
-            hcur, bw_conv = nn.conv3x3(x if i == 0 else hcur,
-                                       p[f"enc{i}.w"], p[f"enc{i}.b"])
-            hcur, bw_relu = nn.relu(hcur)
-            skips.append(hcur)
-            hcur, bw_pool = nn.avgpool2(hcur)
-            tape["enc"].append((bw_conv, bw_relu, bw_pool))
-        hcur, bw_conv = nn.conv3x3(hcur, p["bottleneck.w"], p["bottleneck.b"])
-        hcur, bw_relu = nn.relu(hcur)
-        tape["bottleneck"] = (bw_conv, bw_relu)
-        for i in reversed(range(cfg.depth)):
-            hcur, bw_up = nn.upsample_bilinear2(hcur)
-            hcur, bw_cat = nn.concat_channels(hcur, skips[i])
-            hcur, bw_conv = nn.conv3x3(hcur, p[f"dec{i}.w"], p[f"dec{i}.b"])
-            hcur, bw_relu = nn.relu(hcur)
-            tape["dec"].append((bw_up, bw_cat, bw_conv, bw_relu))
-        y, bw_head = nn.conv3x3(hcur, p["head.w"], p["head.b"])
+        values, tape = nn.forward(unet_stages(cfg), self.params,
+                                  {"x": np.concatenate([x, motion_features(x)], axis=1)})
         splits = np.cumsum(cfg.head_sizes)[:-1]
-        head_out = dict(zip(HEAD_NAMES, np.split(y, splits, axis=1)))
+        head_out = dict(zip(HEAD_NAMES, np.split(values["head"], splits, axis=1)))
         acts = {}
         for name in ("weight_f", "weight_b"):
             head_out[name], acts[name] = nn.softmax_channels(head_out[name])
         occ, acts["occ"] = nn.sigmoid(head_out["occ"])
         head_out["occ"] = occ[:, 0]
-        tape["head"] = (bw_head, acts)
-        return head_out, tape
+        return head_out, (tape, acts)
 
     def backward(self, tape, out_grads):
         """VJP through the whole network.
@@ -217,60 +215,18 @@ class SynthModel:
         synthesize's vjp returns them. Returns a dict of parameter gradients
         congruent with self.params.
         """
-        cfg = self.config
-        grads = dict.fromkeys(self.params)
-        bw_head, acts = tape["head"]
+        tape, acts = tape
         g_head = dict(out_grads, occ=out_grads["occ"][:, None])
         for name, bw_act in acts.items():
             g_head[name] = bw_act(g_head[name])
-        gh, grads["head.w"], grads["head.b"] = bw_head(
-            np.concatenate([g_head[name] for name in HEAD_NAMES], axis=1))
-        skip_grads = [None] * cfg.depth
-        for stage, i in zip(reversed(tape["dec"]), range(cfg.depth)):
-            bw_up, bw_cat, bw_conv, bw_relu = stage
-            gx, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = bw_conv(bw_relu(gh))
-            g_up, skip_grads[i] = bw_cat(gx)
-            gh = bw_up(g_up)
-        bw_conv, bw_relu = tape["bottleneck"]
-        gh, grads["bottleneck.w"], grads["bottleneck.b"] = bw_conv(bw_relu(gh))
-        for i in reversed(range(cfg.depth)):
-            bw_conv, bw_relu, bw_pool = tape["enc"][i]
-            g = bw_relu(bw_pool(gh) + skip_grads[i])
-            gh, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = bw_conv(g)
-        return grads
+        grads = nn.backward(tape, {"head": np.concatenate([g_head[name] for name in HEAD_NAMES],
+                                                          axis=1)})
+        return {name: grads[name] for name in self.params}
 
 
 def param_shapes(config):
-    """Each tensor's shape by name, in init_params's draw order; allocates nothing."""
-    shapes = {}
-
-    def conv(name, cin, cout):
-        shapes[f"{name}.w"] = (cout, cin, 3, 3)
-        shapes[f"{name}.b"] = (cout,)
-
-    cin = IN_CHANNELS + MOTION_FEATURES
-    for i in range(config.depth):
-        conv(f"enc{i}", cin, config.widths[i])
-        cin = config.widths[i]
-    conv("bottleneck", config.widths[-1], config.widths[-1])
-    up = config.widths[-1]
-    for i in reversed(range(config.depth)):
-        conv(f"dec{i}", up + config.widths[i], config.widths[i])
-        up = config.widths[i]
-    conv("head", config.widths[0], sum(config.head_sizes))
-    return shapes
-
-
-def init_params(config):
-    """He-style fan-in initialization; biases and the head convolution start at zero."""
-    rng = np.random.default_rng(config.seed)
-    params = {}
-    for name, shape in param_shapes(config).items():
-        if name.startswith("head.") or name.endswith(".b"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.normal(0.0, np.sqrt(2.0 / (shape[1] * 9)), size=shape)
-    return params
+    """Each tensor's shape by name, in the init's draw order; allocates nothing."""
+    return nn.param_shapes(unet_stages(config), {"x": IN_CHANNELS + MOTION_FEATURES})
 
 
 def save_checkpoint(path, model, extra=None):

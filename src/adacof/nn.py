@@ -1,9 +1,11 @@
 """Batched neural-network primitives with explicit vector-Jacobian products.
 
 Every primitive takes (B, C, H, W) arrays and returns (output, vjp); the
-vjp maps an upstream gradient back to input (and parameter) gradients.
-SynthModel.backward replays them from a tape; model.synthesize and the
-classifier's forward compose them into vjp closures of their own.
+vjp maps an upstream gradient back to input (and parameter) gradients. A
+network is a list of stages, each (output name, op name, input names, conv
+width or 0): forward runs it and records a tape, backward replays the tape.
+Ops are looked up by name as each stage runs, so a wrapper installed on
+this module sees every call.
 
 conv3x3 works channel-major inside, on the zero-padded (C, B, H+2, W+2)
 input: the input copied into its interior, then its border zeroed. Its
@@ -158,3 +160,56 @@ def global_mean(x):
         return np.broadcast_to(gy[:, None, None, None] / n, x.shape).copy()
 
     return y, vjp
+
+
+def conv_unit(name, src, width):
+    """The two stages of a 3x3 conv + ReLU unit reading src, both writing name."""
+    return [(name, "conv3x3", (src,), width), (name, "relu", (name,), 0)]
+
+
+def param_shapes(stages, channels):
+    """Each conv stage's kernel and bias shape, named output.w and output.b,
+    in stage order; channels gives each input value's channel count."""
+    channels, shapes = dict(channels), {}
+    for out, _, ins, width in stages:
+        if width:
+            shapes[f"{out}.w"] = (width, channels[ins[0]], 3, 3)
+            shapes[f"{out}.b"] = (width,)
+        channels[out] = width or sum(channels[name] for name in ins)
+    return shapes
+
+
+def he_init(shapes, seed, zeroed=()):
+    """He-style fan-in normal draws for the kernels of shapes, in its order;
+    biases and the convs named in zeroed start at zero."""
+    rng = np.random.default_rng(seed)
+    return {name: np.zeros(shape) if name.endswith(".b") or name[:-2] in zeroed
+            else rng.normal(0.0, np.sqrt(2.0 / (shape[1] * 9)), size=shape)
+            for name, shape in shapes.items()}
+
+
+def forward(stages, params, values):
+    """Run stages on values, a dict of named inputs, dropping each value after its
+    last reader; a conv stage also reads params output.w and output.b. Returns
+    (the values no stage reads, a tape of (output, input names, vjp) records)."""
+    last = {name: k for k, (_, _, ins, _) in enumerate(stages) for name in ins}
+    tape = []
+    for k, (out, op, ins, width) in enumerate(stages):
+        names = ins + ((f"{out}.w", f"{out}.b") if width else ())
+        args = [values[name] for name in ins] + [params[name] for name in names[len(ins):]]
+        for name in {name for name in ins if last[name] == k}:
+            del values[name]
+        values[out], vjp = globals()[op](*args)
+        tape.append((out, names, vjp))
+    return values, tape
+
+
+def backward(tape, grads):
+    """Replay forward's tape in reverse from grads, its outputs' gradients by name;
+    returns its inputs' and parameters', each summed over the stages reading it."""
+    grads = dict(grads)
+    for out, names, vjp in reversed(tape):
+        g = vjp(grads.pop(out))
+        for name, gi in zip(names, g if isinstance(g, tuple) else (g,)):
+            grads[name] = grads[name] + gi if name in grads else gi
+    return grads

@@ -57,10 +57,9 @@ class TrainConfig(ModelConfig):
             "epochs": (self.epochs >= 1, ">= 1"),
             "schedule_period": (self.schedule_period >= 1, ">= 1"),
             # lr = 0 stays allowed: it trains nothing and keeps the untrained baseline
-            "lr": (0.0 <= self.lr < float("inf"), "a finite number >= 0"),
-            "lambda_1": (self.lambda_1 >= 0.0, ">= 0"),
-            "lambda_vgg": (self.lambda_vgg >= 0.0, ">= 0"),
-            "lambda_adv": (self.lambda_adv >= 0.0, ">= 0"),
+            **{key: (0.0 <= getattr(self, key) < float("inf"), "a finite number >= 0")
+               for key in ("lr", "lambda_1", "lambda_vgg", "lambda_adv")},
+            "adv_epochs": (self.adv_epochs >= 0, ">= 0"),
             "val_fraction": (0.0 < self.val_fraction < 1.0, "between 0 and 1"),
             "crop": (self.crop >= 0 and self.crop % div == 0,
                      f"0 or a positive multiple of 2^depth = {div}"),
@@ -183,6 +182,14 @@ def train(config, out_dir, log=None):
         raise ValueError(f"{config.dataset_dir}: {n_train} train triplets, "
                          f"fewer than batch {config.batch}")
     triplets = [load_triplet(os.path.join(config.dataset_dir, n)) for n in names]
+    div = 2 ** config.depth
+    for name, t in zip(names, triplets):  # validation runs on whole frames: they must divide
+        h, w = t.first.shape[1:]
+        where = f"{os.path.join(config.dataset_dir, name)}: frames are {h}x{w}"
+        if config.crop > min(h, w):
+            raise ValueError(f"{where}, smaller than crop {config.crop}")
+        if h % div or w % div:
+            raise ValueError(f"{where}, not divisible by 2^depth = {div} (depth {config.depth})")
     train_set = triplets[:-n_val]
     val_set = triplets[-n_val:]
 

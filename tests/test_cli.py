@@ -229,6 +229,22 @@ def test_train_rejects_fewer_triplets_than_batch(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"crop": 64}, "frames are 16x16, smaller than crop 64"),
+    ({"depth": 5, "widths": [1] * 5}, "frames are 16x16, not divisible by 2^depth = 32 (depth 5)"),
+], ids=["crop-larger-than-frame", "frame-not-divisible"])
+def test_train_checks_the_frame_size_before_the_run_directory(dataset, tmp_path, capsys,
+                                                               change, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset_dir": dataset, "F": 3, "depth": 1, "widths": [4],
+                               "batch": 2, "epochs": 1, **change}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    first = os.path.join(dataset, read_manifest(dataset)[0])
+    assert err == f"error: {first}: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def _rewrite_config_block(src, dst, edit):
     """Copy a checkpoint with its config block's text replaced by edit(text)."""
     with open(src, "rb") as f:
@@ -287,11 +303,15 @@ def test_checkpoint_config_block_names_the_bad_key(dataset, trained, tmp_path, c
      "widths must be one positive width per encoder level (depth 1), got [4, 8]"),
     ({"val_fraction": 1.5}, False, "val_fraction must be between 0 and 1, got 1.5"),
     ({"schedule_period": 0}, False, "schedule_period must be >= 1, got 0"),
-    ({"lambda_adv": -1}, False, "lambda_adv must be >= 0, got -1"),
+    ({"lambda_adv": -1}, False, "lambda_adv must be a finite number >= 0, got -1"),
+    ({"seed": -1}, False, "seed must be >= 0, got -1"),
+    ({"adv_epochs": -3}, False, "adv_epochs must be >= 0, got -3"),
+    ({"lambda_1": 1e400, "mode": "perception", "adv_epochs": 1}, False,
+     "lambda_1 must be a finite number >= 0, got inf"),
 ], ids=["unknown-key", "misspelt-mode", "unknown-warp-mode", "not-json", "negative-lr",
         "crop-not-a-multiple", "zero-batch", "zero-epochs", "zero-kernel-size",
         "negative-dilation", "widths-not-depth", "val-fraction-above-1", "zero-schedule-period",
-        "negative-lambda"])
+        "negative-lambda", "negative-seed", "negative-adv-epochs", "infinite-lambda"])
 def test_training_config_names_the_bad_key(dataset, tmp_path, capsys, change, cut, message):
     cfg = tmp_path / "cfg.json"
     text = json.dumps({"dataset_dir": dataset, "F": 3, "depth": 1,

@@ -78,7 +78,7 @@ def test_perceptual_loss_with_bank_detects_structure_difference():
 
 
 def test_loss_config_validation():
-    with pytest.raises(ValueError, match="lambda_adv must be >= 0, got -1.0"):
+    with pytest.raises(ValueError, match="lambda_adv must be a finite number >= 0, got -1.0"):
         TrainConfig(lambda_adv=-1.0)
     with pytest.raises(ValueError, match="mode must be 'distortion' or 'perception'"):
         TrainConfig(mode="other")

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from adacof import nn
+from adacof.losses import Discriminator
 from adacof.model import (HEAD_NAMES, ModelConfig, SynthModel, _box5, load_checkpoint,
                           motion_features, param_shapes, save_checkpoint, synthesize)
 from adacof.train import infer
@@ -87,6 +89,23 @@ def test_input_validation():
         model.forward(np.zeros((1, 6, 15, 16)))
     with pytest.raises(ValueError):
         ModelConfig(kernel_size=3, depth=2, widths=(4,))
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_networks_call_the_nn_primitives_through_the_module(monkeypatch, depth):
+    """Each stage looks its op up on adacof.nn as it runs, so a wrapper
+    installed there (as a tracer installs one) sees every conv and relu."""
+    calls = {"conv3x3": 0, "relu": 0}
+    for op in calls:
+        def counted(*args, op=op, original=getattr(nn, op)):
+            calls[op] += 1
+            return original(*args)
+        monkeypatch.setattr(nn, op, counted)
+    model = SynthModel(_tiny_config(depth=depth, widths=(4, 6, 8)[:depth]))
+    model.forward(np.zeros((1, 6, 8, 8)))
+    assert calls == {"conv3x3": 2 * depth + 2, "relu": 2 * depth + 1}
+    Discriminator().forward(np.zeros((6, 8, 8)))
+    assert calls == {"conv3x3": 2 * depth + 5, "relu": 2 * depth + 3}
 
 
 def test_sample_params_validate():

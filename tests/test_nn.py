@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from adacof import nn
-from adacof.model import ModelConfig, init_params
+from adacof.model import ModelConfig, param_shapes
 
 
 def _fd_dot(f, x, direction, h=1e-6):
@@ -124,11 +124,11 @@ def test_conv3x3_is_bit_identical_at_the_network_layer_shapes(b, size):
     cfg = ModelConfig(kernel_size=5, dilation=1, depth=2, widths=(8, 16))
     levels = {"bottleneck": cfg.depth, "head": 0}  # enc{i} and dec{i} run at level i
     rng = np.random.default_rng(7)
-    for name, p in init_params(cfg).items():
+    for name, shape in param_shapes(cfg).items():
         if not name.endswith(".w"):
             continue
         level = levels[name[:-2]] if name[:-2] in levels else int(name[-3])
-        o, c = p.shape[:2]
+        o, c = shape[:2]
         side = size >> level
         x, kernel, bias, gy = _conv_case(rng, b, c, o, side, side)
         y, vjp = nn.conv3x3(x, kernel, bias)
@@ -241,3 +241,43 @@ def test_concat_channels_roundtrip():
     ga, gb = vjp(y)
     np.testing.assert_array_equal(ga, a)
     np.testing.assert_array_equal(gb, b)
+
+
+def test_executor_matches_the_hand_composition():
+    """x feeds a conv unit and, as a skip, the concat after it: the forward
+    and the replayed vjp equal the same primitives composed by hand, bit for
+    bit, x's gradient is the sum of its two paths' and passes a central
+    difference, and only the outputs and the input no stage reads remain."""
+    rng = np.random.default_rng(11)
+    stages = [*nn.conv_unit("h", "x", 3), ("p", "avgpool2", ("h",), 0),
+              ("u", "upsample_bilinear2", ("p",), 0), ("cat", "concat_channels", ("u", "x"), 0),
+              ("y", "conv3x3", ("cat",), 2)]
+    shapes = nn.param_shapes(stages, {"x": 2})
+    assert shapes == {"h.w": (3, 2, 3, 3), "h.b": (3,), "y.w": (2, 5, 3, 3), "y.b": (2,)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    x, spare = rng.normal(size=(2, 2, 4, 6)), rng.normal(size=(1,))
+    values, tape = nn.forward(stages, params, {"x": x, "spare": spare})
+    assert values.keys() == {"y", "spare"}
+    gy = rng.normal(size=values["y"].shape)
+    grads = nn.backward(tape, {"y": gy})
+
+    h, vjp_conv_h = nn.conv3x3(x, params["h.w"], params["h.b"])
+    h, vjp_relu = nn.relu(h)
+    p, vjp_pool = nn.avgpool2(h)
+    u, vjp_up = nn.upsample_bilinear2(p)
+    cat, vjp_cat = nn.concat_channels(u, x)
+    y, vjp_conv_y = nn.conv3x3(cat, params["y.w"], params["y.b"])
+    np.testing.assert_array_equal(values["y"], y)
+    g_cat, gk_y, gb_y = vjp_conv_y(gy)
+    g_u, g_skip = vjp_cat(g_cat)
+    g_unit, gk_h, gb_h = vjp_conv_h(vjp_relu(vjp_pool(vjp_up(g_u))))
+    assert grads.keys() == {"x", "h.w", "h.b", "y.w", "y.b"}
+    for got, want in ((grads["x"], g_skip + g_unit), (grads["h.w"], gk_h), (grads["h.b"], gb_h),
+                      (grads["y.w"], gk_y), (grads["y.b"], gb_y)):
+        np.testing.assert_array_equal(got, want)
+    assert not np.array_equal(grads["x"], g_unit) and not np.array_equal(grads["x"], g_skip)
+
+    dx = rng.normal(size=x.shape)
+    numeric = _fd_dot(lambda z: float(
+        (nn.forward(stages, params, {"x": z})[0]["y"] * gy).sum()), x, dx)
+    assert float((grads["x"] * dx).sum()) == pytest.approx(numeric, rel=1e-6)
