@@ -21,7 +21,8 @@ from .datagen import MIN_SIZE, load_triplet, read_manifest, write_dataset
 from .flowstats import mean_flow, render_flow, render_occlusion, variance_flow
 from .model import load_checkpoint, param_shapes
 from .ppm import read_ppm, write_ppm
-from .train import KEY_ALIASES, TrainConfig, evaluate, infer, mean_metrics, train
+from .train import (KEY_ALIASES, TrainConfig, evaluate, infer, interpolate, mean_metrics,
+                    train)
 from .warp import WarpMode, forward_warp, load_acof, save_acof
 
 GRADCHECK_THRESHOLDS = {"adacof": 1e-4, "losses": 1e-4, "network": 1e-3}
@@ -107,12 +108,14 @@ def cmd_interp(args):
         (h0, w0), (h1, w1) = frame0.shape[1:], frame1.shape[1:]
         raise ValueError(f"frames differ in size: {args.frame0} is {h0}x{w0}, "
                          f"{args.frame1} is {h1}x{w1}")
+    if not args.dump_params:  # the frame alone: one band of maps at a time
+        write_ppm(args.out, interpolate(model, frame0, frame1, threads=args.threads))
+        return 0
     blended, pf, pb, v = infer(model, frame0, frame1, threads=args.threads)
     write_ppm(args.out, blended)
-    if args.dump_params:
-        save_acof(args.dump_params, pf, v)
-        root, ext = os.path.splitext(args.dump_params)
-        save_acof(f"{root}.bwd{ext}", pb, v)
+    save_acof(args.dump_params, pf, v)
+    root, ext = os.path.splitext(args.dump_params)
+    save_acof(f"{root}.bwd{ext}", pb, v)
     return 0
 
 

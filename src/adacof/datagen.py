@@ -152,19 +152,20 @@ def _render_occluder(spec, size, margin, base, rng, grid_y, grid_x):
 
 
 def augment(triplet, seed, crop=None):
-    """Random crop; horizontal and vertical flips and temporal swap, each with p = 1/2.
+    """Random square crop, or with crop=None the whole frame; horizontal and
+    vertical flips and temporal swap, each with p = 1/2.
 
     Returns the frames only: training reads no motion truth, so the
     triplet's flow and occlusion are not carried over.
     """
     rng = np.random.default_rng(seed)
     h, w = triplet.first.shape[1:]
-    crop = crop or h
-    if crop > h or crop > w:
+    ch, cw = (h, w) if crop is None else (crop, crop)
+    if ch > h or cw > w:
         raise ValueError(f"crop {crop} larger than frame {h}x{w}")
-    y0 = int(rng.integers(0, h - crop + 1))
-    x0 = int(rng.integers(0, w - crop + 1))
-    frames = [f[:, y0:y0 + crop, x0:x0 + crop]
+    y0 = int(rng.integers(0, h - ch + 1))
+    x0 = int(rng.integers(0, w - cw + 1))
+    frames = [f[:, y0:y0 + ch, x0:x0 + cw]
               for f in (triplet.first, triplet.middle, triplet.last)]
     for axis in (2, 1):  # horizontal, then vertical
         if rng.random() < 0.5:

@@ -9,6 +9,8 @@ group through a sigmoid, offset groups are left unconstrained. The head is
 zero-initialized so an untrained model emits uniform weights, zero
 offsets, and a 0.5 occlusion map. The network is one nn stage list,
 unet_stages, from which the executor, param_shapes and the init all work.
+activate_head is the one split and activation of the head's output, for
+SynthModel.forward's whole frames and SynthModel.head's row bands alike.
 
 ModelConfig describes the whole model, its warp mode included; a checkpoint's
 config block is the ModelConfig, so a loaded model warps as it was trained.
@@ -126,7 +128,7 @@ def motion_features(x):
     return np.stack([it, iy, ix, fy, fx], axis=1)
 
 
-def synthesize(config, out, x, threads=1):
+def synthesize(config, out, x, threads=1, top=0):
     """Middle frames of a (B, 6, H, W) batch x from out, SynthModel.forward's outputs.
 
     Projects the maps onto config.warp_mode, warps the first frames forward
@@ -134,7 +136,8 @@ def synthesize(config, out, x, threads=1):
     out["occ"], or under 'woocc' with a constant 1/2 map, which gives the occ
     head no gradient. Returns the (B, 3, H, W) frames, the (forward,
     backward) WarpParams, and a vjp from frame gradients to the head
-    gradients SynthModel.backward takes.
+    gradients SynthModel.backward takes. Maps n rows high (SynthModel.head's)
+    give the frames' rows top..top+n, as forward_warp's row offset does.
     """
     mode = WarpMode(config.warp_mode)
     occluded = mode is not WarpMode.NO_OCCLUSION
@@ -142,8 +145,8 @@ def synthesize(config, out, x, threads=1):
     (wb, ab, bb), vjp_b = project_mode(mode, out["weight_b"], out["alpha_b"], out["beta_b"])
     pf = WarpParams(wf, af, bf, config.kernel_size, config.dilation)
     pb = WarpParams(wb, ab, bb, config.kernel_size, config.dilation)
-    fwd = forward_warp(x[:, :3], pf, threads=threads)
-    bwd = forward_warp(x[:, 3:], pb, threads=threads)
+    fwd = forward_warp(x[:, :3], pf, threads=threads, top=top)
+    bwd = forward_warp(x[:, 3:], pb, threads=threads, top=top)
     v = out["occ"] if occluded else np.full_like(out["occ"], 0.5)
     frames = occlusion_blend(fwd, bwd, v)
 
@@ -175,13 +178,43 @@ def unet_stages(config):
     return stages + [("head", "conv3x3", (h,), sum(config.head_sizes))]
 
 
+def activate_head(config, head):
+    """The head conv's (B, O, H, W) output split into the HEAD_NAMES groups and
+    constrained: a softmax over each weight group's taps, a sigmoid on occ
+    (returned (B, H, W)), the offsets as they are. Returns (groups by name,
+    the two activations' vjps by name). Every step is per pixel."""
+    groups = dict(zip(HEAD_NAMES, np.split(head, np.cumsum(config.head_sizes)[:-1], axis=1)))
+    vjps = {}
+    for name in ("weight_f", "weight_b"):
+        groups[name], vjps[name] = nn.softmax_channels(groups[name])
+    occ, vjps["occ"] = nn.sigmoid(groups["occ"])
+    groups["occ"] = occ[:, 0]
+    return groups, vjps
+
+
 class SynthModel:
-    """Fully convolutional parameter estimator: unet_stages on nn's executor."""
+    """Fully convolutional parameter estimator: unet_stages on nn's executor.
+
+    forward runs the whole list, for training. Inference runs it in two
+    steps: trunk, every stage but the head, on the whole frame, then head on
+    one band of rows at a time, so the head's maps exist for one band only.
+    """
 
     def __init__(self, config, params=None):
         self.config = config
         self.params = params if params is not None else nn.he_init(
             param_shapes(config), config.seed, zeroed=("head",))
+
+    def _network_input(self, x):
+        """The (B, IN_CHANNELS, H, W) frame pairs x with their motion features;
+        height and width must be divisible by 2**depth."""
+        b, c, h, w = x.shape
+        if c != IN_CHANNELS:
+            raise ValueError(f"expected {IN_CHANNELS} input channels, got {c}")
+        div = 2 ** self.config.depth
+        if h % div or w % div:
+            raise ValueError(f"input {h}x{w} not divisible by 2^depth = {div}")
+        return {"x": np.concatenate([x, motion_features(x)], axis=1)}
 
     def forward(self, x):
         """Run the network on (B, IN_CHANNELS, H, W); returns (outputs, tape),
@@ -189,23 +222,27 @@ class SynthModel:
 
         Height and width must be divisible by 2**depth.
         """
-        cfg = self.config
-        b, c, h, w = x.shape
-        if c != IN_CHANNELS:
-            raise ValueError(f"expected {IN_CHANNELS} input channels, got {c}")
-        div = 2 ** cfg.depth
-        if h % div or w % div:
-            raise ValueError(f"input {h}x{w} not divisible by 2^depth = {div}")
-        values, tape = nn.forward(unet_stages(cfg), self.params,
-                                  {"x": np.concatenate([x, motion_features(x)], axis=1)})
-        splits = np.cumsum(cfg.head_sizes)[:-1]
-        head_out = dict(zip(HEAD_NAMES, np.split(values["head"], splits, axis=1)))
-        acts = {}
-        for name in ("weight_f", "weight_b"):
-            head_out[name], acts[name] = nn.softmax_channels(head_out[name])
-        occ, acts["occ"] = nn.sigmoid(head_out["occ"])
-        head_out["occ"] = occ[:, 0]
+        values, tape = nn.forward(unet_stages(self.config), self.params, self._network_input(x))
+        head_out, acts = activate_head(self.config, values["head"])
         return head_out, (tape, acts)
+
+    def trunk(self, x):
+        """The features the head reads: every stage but the head, run on the
+        whole of x as forward does, its tape dropped."""
+        values, _ = nn.forward(unet_stages(self.config)[:-1], self.params, self._network_input(x))
+        (features,) = values.values()
+        return features
+
+    def head(self, features, top, n):
+        """activate_head's groups on rows top..top+n of the trunk's features.
+
+        The head conv runs on those rows and one halo row above and below,
+        whose own outputs are cropped off, so each row equals forward's."""
+        stage = unet_stages(self.config)[-1]
+        (src,) = stage[2]
+        lo, hi = max(top - 1, 0), min(top + n + 1, features.shape[2])
+        values, _ = nn.forward([stage], self.params, {src: features[:, :, lo:hi]})
+        return activate_head(self.config, values["head"][:, :, top - lo:top - lo + n])[0]
 
     def backward(self, tape, out_grads):
         """VJP through the whole network.

@@ -1,5 +1,7 @@
 """Training loop: batching, the two-phase objective, validation metrics,
-checkpointing, and the end-to-end inference helper shared with the CLI.
+checkpointing, and the inference band loop shared with the CLI: the
+network's trunk on the whole frame, then its head, activations and warps
+one band of rows at a time.
 
 TrainConfig.model_config() is the network a config trains, its warp mode
 included, so inference and evaluation take the mode from the model alone.
@@ -14,12 +16,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import metrics
-from .core import config_from_dict
+from .core import BAND_PIXELS, config_from_dict
 from .datagen import augment, load_triplet, read_manifest
 from .losses import (Discriminator, charbonnier_l1, discriminator_loss,
                      generator_entropy_loss, perceptual_loss)
 from .model import ModelConfig, SynthModel, save_checkpoint, synthesize
 from .optim import AdaMaxState, adamax_step
+from .warp import WarpMode, WarpParams
 # forward_warp is unused here: perfbench's tracer test reads this module's binding
 from .warp import forward_warp  # noqa: F401
 
@@ -88,12 +91,46 @@ class TrainConfig(ModelConfig):
         return self.lr * 0.5 ** (epoch // self.schedule_period)
 
 
-def infer(model, first, last, threads=1):
-    """Full interpolation pass; returns (output, params_fwd, params_bwd, v)."""
+def _banded(model, first, last, threads, keep):
+    """The inference band loop: the trunk on the whole frame pair, then per band
+    of BAND_PIXELS // W rows SynthModel.head and synthesize, which samples the
+    whole pair. keep(frame rows, (fwd, bwd) WarpParams, v rows) picks a band's
+    arrays, joined into whole-frame arrays band by band; a band of the whole
+    frame is returned uncopied. A 'ws' model's shared weights are a mean over
+    the frame, so its band is the whole frame.
+    """
     x = np.concatenate([first, last]).astype(np.float64, copy=False)[None]
-    out = model.forward(x)[0]  # drops the network tape before the warps
-    frames, (pf, pb), _ = synthesize(model.config, out, x, threads)
-    return frames[0], pf.at(0), pb.at(0), out["occ"][0]
+    features = model.trunk(x)
+    h, w = x.shape[2:]
+    n = h if model.config.warp_mode == WarpMode.SHARED_WEIGHT.value else max(1, BAND_PIXELS // w)
+    whole = None
+    for top in range(0, h, n):
+        rows = slice(top, min(top + n, h))
+        out = model.head(features, top, rows.stop - top)
+        frames, params = synthesize(model.config, out, x, threads, top=top)[:2]
+        arrays = keep(frames[0], [p.at(0) for p in params], out["occ"][0])
+        if rows == slice(0, h):
+            return arrays
+        if whole is None:
+            whole = [np.empty(a.shape[:-2] + (h, w)) for a in arrays]
+        for k, dst in enumerate(whole):
+            dst[..., rows, :] = arrays[k]
+        del out, frames, params, arrays  # before the next band's maps are made
+    return whole
+
+
+def interpolate(model, first, last, threads=1):
+    """The (3, H, W) middle frame of a pair; holds one band's maps at a time."""
+    return _banded(model, first, last, threads, lambda frame, params, v: [frame])[0]
+
+
+def infer(model, first, last, threads=1):
+    """Full interpolation pass; returns (output, params_fwd, params_bwd, v),
+    the maps joined from the band loop's bands."""
+    frame, v, *maps = _banded(model, first, last, threads, lambda frame, params, v: [
+        frame, v, *(getattr(p, name) for p in params for name in ("weights", "alpha", "beta"))])
+    f, d = model.config.kernel_size, model.config.dilation
+    return frame, WarpParams(*maps[:3], f, d), WarpParams(*maps[3:], f, d), v
 
 
 def _batch_losses_and_grads(model, batch, config, disc=None):
@@ -153,7 +190,7 @@ def evaluate(model, triplets):
     """Per-triplet (psnr, ssim, ie) rows; triplets may be any iterable."""
     rows = []
     for t in triplets:
-        blended, _, _, _ = infer(model, t.first, t.last)
+        blended = interpolate(model, t.first, t.last)
         rows.append((metrics.psnr(blended, t.middle), metrics.ssim(blended, t.middle),
                      metrics.interpolation_error(blended, t.middle)))
     return rows
@@ -181,15 +218,20 @@ def train(config, out_dir, log=None):
     if n_train < config.batch:
         raise ValueError(f"{config.dataset_dir}: {n_train} train triplets, "
                          f"fewer than batch {config.batch}")
-    triplets = [load_triplet(os.path.join(config.dataset_dir, n)) for n in names]
+    paths = [os.path.join(config.dataset_dir, name) for name in names]
+    triplets = [load_triplet(path) for path in paths]
     div = 2 ** config.depth
-    for name, t in zip(names, triplets):  # validation runs on whole frames: they must divide
+    size = triplets[0].first.shape[1:]
+    for path, t in zip(paths, triplets):  # validation runs on whole frames: they must divide
         h, w = t.first.shape[1:]
-        where = f"{os.path.join(config.dataset_dir, name)}: frames are {h}x{w}"
+        where = f"{path}: frames are {h}x{w}"
         if config.crop > min(h, w):
             raise ValueError(f"{where}, smaller than crop {config.crop}")
         if h % div or w % div:
             raise ValueError(f"{where}, not divisible by 2^depth = {div} (depth {config.depth})")
+        if not config.crop and (h, w) != size:  # whole frames are stacked into batches
+            raise ValueError(f"{where}, but {paths[0]}'s are {size[0]}x{size[1]}; "
+                             "with crop 0 every triplet must have one frame size")
     train_set = triplets[:-n_val]
     val_set = triplets[-n_val:]
 

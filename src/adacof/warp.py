@@ -11,6 +11,8 @@ combined with per-pixel convex weights. The tap grid is centered so that
 zero offsets give a symmetric kernel around the output pixel. The sampler
 takes the taps in blocks of at most BAND_PIXELS samples, and the sums run
 one tap at a time in tap order, so no output depends on the block size.
+forward_warp's row offset top lets maps for rows top..top+n alone give
+those rows of the output, sampled from the whole image.
 """
 
 from __future__ import annotations
@@ -107,11 +109,12 @@ def identity_params(height, width):
                       np.zeros((1, height, width)), kernel_size=1, dilation=0)
 
 
-def _tap_blocks(params, per_block, rows=slice(None)):
+def _tap_blocks(params, per_block, rows=slice(None), top=0):
     """Yield (taps, ys, xs): the sampling coordinates on the given rows of a
-    slice of at most per_block taps, shaped (..., T, rows, W)."""
+    slice of at most per_block taps, shaped (..., T, rows, W). The maps' row
+    r is the image's row top + r."""
     gy, gx = params.tap_grid_offsets()
-    i = np.arange(params.height, dtype=np.float64)[rows][:, None]
+    i = np.arange(top, top + params.height, dtype=np.float64)[rows][:, None]
     j = np.arange(params.width, dtype=np.float64)
     for t in range(0, len(gy), per_block):
         taps = slice(t, t + per_block)
@@ -119,15 +122,20 @@ def _tap_blocks(params, per_block, rows=slice(None)):
                (j + gx[taps, None, None]) + params.beta[..., taps, rows, :])
 
 
-def _as_batch(image, params):
-    """(B, C, H, W) pixels and batched params, and whether the call was unbatched."""
+def _as_batch(image, params, top=None):
+    """(B, C, H, W) pixels and batched params, and whether the call was unbatched.
+
+    The maps cover the image's rows top..top+height, or with top=None all of them."""
     pixels, maps = np.asarray(image, dtype=np.float64), params.weights.shape
-    if pixels.shape[:-3] + pixels.shape[-2:] != maps[:-3] + maps[-2:]:
-        raise ValueError(f"image {pixels.shape} does not match params maps {maps}")
+    h = pixels.shape[-2]
+    rows_fit = maps[-2] == h if top is None else 0 <= top <= h - maps[-2]
+    if pixels.shape[:-3] + pixels.shape[-1:] != maps[:-3] + maps[-1:] or not rows_fit:
+        at = "" if top is None else f" from row {top}"
+        raise ValueError(f"image {pixels.shape} does not match params maps {maps}{at}")
     return (pixels[None], params.at(None), True) if pixels.ndim == 3 else (pixels, params, False)
 
 
-def forward_warp(image, params, threads=1, validate=True):
+def forward_warp(image, params, threads=1, validate=True, top=0):
     """Warp a (C, H, W) image by (F*F, H, W) maps, or a
     (B, C, H, W) batch by (B, F*F, H, W) maps, bit-identical per sample.
 
@@ -137,16 +145,20 @@ def forward_warp(image, params, threads=1, validate=True):
     operation is elementwise per pixel, so any thread count or block size
     gives the same bits. validate=False skips the weight-simplex check
     (finite-difference probing evaluates slightly off the simplex).
+
+    Maps n rows high give the output rows top..top+n of the whole warp:
+    the taps sample the whole image, and each output row equals that row
+    of the warp by the whole-frame maps.
     """
     if validate:
         params.validate()
-    pixels, params, single = _as_batch(image, params)
-    b, _, h, w = pixels.shape
+    pixels, params, single = _as_batch(image, params, top)
+    b, (h, w) = len(pixels), params.weights.shape[-2:]  # the output rows: the maps'
     src = np.ascontiguousarray(pixels.transpose(1, 0, 2, 3))  # (C, B, H, W)
 
     def band(rows):
         out = 0.0
-        for taps, ys, xs in _tap_blocks(params, per_block, rows):
+        for taps, ys, xs in _tap_blocks(params, per_block, rows, top):
             block = params.weights[:, taps, rows] * sample_grid(src, ys, xs)
             for k in range(block.shape[2]):
                 out += block[:, :, k]

@@ -3,6 +3,7 @@
 import json
 import os
 import resource
+import shutil
 import struct
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from adacof import gradcheck as gc
 from adacof.cli import main
 from adacof.datagen import read_manifest
+from adacof.model import ModelConfig, SynthModel, save_checkpoint
 from adacof.ppm import read_ppm, write_ppm
 from adacof.warp import identity_params, save_acof
 
@@ -229,20 +231,48 @@ def test_train_rejects_fewer_triplets_than_batch(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("change, message", [
-    ({"crop": 64}, "frames are 16x16, smaller than crop 64"),
-    ({"depth": 5, "widths": [1] * 5}, "frames are 16x16, not divisible by 2^depth = 32 (depth 5)"),
-], ids=["crop-larger-than-frame", "frame-not-divisible"])
-def test_train_checks_the_frame_size_before_the_run_directory(dataset, tmp_path, capsys,
-                                                               change, message):
+@pytest.fixture(scope="module")
+def mixed_dataset(dataset, tmp_path_factory):
+    """The dataset's manifest with its last four triplets at 32x32."""
+    path = tmp_path_factory.mktemp("cli") / "mixed"
+    big = tmp_path_factory.mktemp("cli") / "big"
+    assert main(["gen-data", "--out", str(big), "--count", "4", "--size", "32"]) == 0
+    names = read_manifest(dataset)
+    for name in names[:4]:
+        shutil.copytree(os.path.join(dataset, name), path / name)
+    for src, name in zip(read_manifest(big), names[4:]):
+        shutil.copytree(big / src, path / name)
+    (path / "index.txt").write_text("\n".join(names) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("data, change, named, message", [
+    ("dataset", {"crop": 64}, 0, "frames are 16x16, smaller than crop 64"),
+    ("dataset", {"depth": 5, "widths": [1] * 5}, 0,
+     "frames are 16x16, not divisible by 2^depth = 32 (depth 5)"),
+    ("mixed_dataset", {}, 4, "frames are 32x32, but {first}'s are 16x16; "
+     "with crop 0 every triplet must have one frame size"),
+], ids=["crop-larger-than-frame", "frame-not-divisible", "mixed-sizes-without-crop"])
+def test_train_checks_the_frame_size_before_the_run_directory(request, tmp_path, capsys,
+                                                               data, change, named, message):
+    dataset = request.getfixturevalue(data)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset_dir": dataset, "F": 3, "depth": 1, "widths": [4],
                                "batch": 2, "epochs": 1, **change}))
+    capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    first = os.path.join(dataset, read_manifest(dataset)[0])
-    assert err == f"error: {first}: {message}\n"
+    first, where = (os.path.join(dataset, read_manifest(dataset)[i]) for i in (0, named))
+    assert err == f"error: {where}: {message.format(first=first)}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_mixed_frame_sizes_train_with_a_crop(mixed_dataset, tmp_path):
+    """With a crop every batch is one size, and validation runs per triplet."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset_dir": mixed_dataset, "F": 3, "depth": 1, "widths": [4],
+                               "batch": 2, "epochs": 1, "crop": 16}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
 
 
 def _rewrite_config_block(src, dst, edit):
@@ -457,6 +487,22 @@ def test_interp_names_frames_of_different_sizes(dataset, trained, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: frames differ in size: {frame0} is 16x16, {frame1} is 16x20" in captured.err
+    assert not (tmp_path / "mid.ppm").exists()
+
+
+def test_interp_rejects_sides_not_divisible_by_the_depth(tmp_path, capsys):
+    """An 18x18 pair at depth 2 fails at the input check, before any band is
+    made: exit 1, the check's text, no output file."""
+    ckpt = tmp_path / "depth2.ackp"
+    save_checkpoint(ckpt, SynthModel(ModelConfig(kernel_size=3, depth=2, widths=(4, 4))))
+    frames = np.random.default_rng(5).integers(0, 256, (2, 3, 18, 18)) / 255.0
+    for i, frame in enumerate(frames):
+        write_ppm(tmp_path / f"f{i}.ppm", frame)
+    capsys.readouterr()
+    assert main(["interp", "--ckpt", str(ckpt), "--frame0", str(tmp_path / "f0.ppm"),
+                 "--frame1", str(tmp_path / "f1.ppm"), "--out", str(tmp_path / "mid.ppm"),
+                 "--threads", "1"]) == 1
+    assert capsys.readouterr().err == "error: input 18x18 not divisible by 2^depth = 4\n"
     assert not (tmp_path / "mid.ppm").exists()
 
 

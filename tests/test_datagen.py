@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adacof.datagen import (MotionSpec, augment, generate_triplet,
+from adacof.datagen import (MotionSpec, Triplet, augment, generate_triplet,
                             load_triplet, random_spec, read_manifest,
                             save_triplet, smooth_texture, write_dataset)
 from adacof.warp import WarpParams, forward_warp
@@ -137,6 +137,27 @@ def test_augment_crop_shapes():
     assert a.first.shape == a.middle.shape == a.last.shape == (3, 16, 16)
     with pytest.raises(ValueError):
         augment(t, 0, crop=32)
+
+
+@pytest.mark.parametrize("h, w", [(16, 32), (32, 16)], ids=["wide", "tall"])
+def test_augment_without_a_crop_keeps_the_whole_frame(h, w):
+    """crop=None, training's crop 0, keeps all h x w pixels of a non-square
+    frame, and draws as a square frame's whole-frame crop does: a corner from
+    one choice per axis, then the flips and the swap."""
+    rng = np.random.default_rng(30)
+    t = Triplet(*rng.random((3, 3, h, w)))
+    for seed in range(8):
+        draws = np.random.default_rng(seed)
+        assert draws.integers(0, 1) == 0 and draws.integers(0, 1) == 0
+        frames = [t.first, t.middle, t.last]
+        for axis in (2, 1):
+            if draws.random() < 0.5:
+                frames = [np.flip(f, axis) for f in frames]
+        if draws.random() < 0.5:
+            frames = frames[::-1]
+        a = augment(t, seed)
+        for got, want in zip((a.first, a.middle, a.last), frames):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_random_spec_respects_cap():

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from adacof import nn
+from adacof import nn, train
+from adacof.cli import main
 from adacof.losses import Discriminator
 from adacof.model import (HEAD_NAMES, ModelConfig, SynthModel, _box5, load_checkpoint,
                           motion_features, param_shapes, save_checkpoint, synthesize)
+from adacof.ppm import read_ppm, write_ppm
 from adacof.train import infer
 from adacof.warp import (WarpMode, WarpParams, backward_warp_vjp, forward_warp,
-                         occlusion_blend, occlusion_blend_vjp, project_mode)
+                         occlusion_blend, occlusion_blend_vjp, project_mode, save_acof)
 
 
 def _tiny_config(**kw):
@@ -259,6 +261,93 @@ def test_infer_does_not_hold_the_whole_im2col():
     finally:
         tracemalloc.stop()
     assert peak < 60 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _acceptance_model(warp_mode="adacof", seed=4):
+    """An acceptance-config model whose heads are non-zero, so that its kernels
+    are not uniform and its offsets reach a few pixels."""
+    model = SynthModel(ModelConfig(kernel_size=5, dilation=1, depth=2, widths=(8, 16),
+                                   warp_mode=warp_mode))
+    rng = np.random.default_rng(seed)
+    model.params["head.w"] = rng.normal(0.0, 0.1, model.params["head.w"].shape)
+    return model
+
+
+def _whole_frame_infer(model, first, last):
+    """infer composed from the whole network: forward, then synthesize."""
+    x = np.concatenate([first, last])[None]
+    out = model.forward(x)[0]
+    frames, (pf, pb), _ = synthesize(model.config, out, x)
+    return frames[0], pf.at(0), pb.at(0), out["occ"][0]
+
+
+@pytest.mark.parametrize("mode, h, w, bands", [
+    ("adacof", 32, 32, [32]),
+    ("adacof", 40, 256, [32, 8]),
+    ("adacof", 96, 512, [16] * 6),
+    ("sdc", 40, 256, [32, 8]),
+    ("woocc", 40, 256, [32, 8]),
+    ("ws", 40, 256, [40]),  # the shared weights are a whole-frame mean: one band
+])
+def test_banded_inference_equals_the_whole_frame_network(monkeypatch, mode, h, w, bands):
+    """infer and interpolate run the head, its activations and the warp in
+    bands of rows; their frame and maps equal the whole-frame composition's."""
+    model = _acceptance_model(mode)
+    first, last = np.random.default_rng(6).random((2, 3, h, w))
+    seen = []
+
+    def recording(config, out, x, threads=1, top=0):
+        seen.append(out["occ"].shape[1])
+        return synthesize(config, out, x, threads, top=top)
+
+    monkeypatch.setattr(train, "synthesize", recording)
+    got = train.infer(model, first, last)
+    assert seen == bands
+    want = _whole_frame_infer(model, first, last)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[3], want[3])
+    for p, q in zip(got[1:3], want[1:3]):
+        for name in ("weights", "alpha", "beta"):
+            np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+    np.testing.assert_array_equal(train.interpolate(model, first, last), want[0])
+
+
+def test_interp_files_equal_the_whole_frame_network(tmp_path):
+    """adacof interp at 40x256 (bands of 32 and 8 rows), on 1 and 2 threads:
+    the PPM, with or without --dump-params, and both dumps are the bytes the
+    whole-frame composition writes."""
+    ckpt, paths = tmp_path / "model.ackp", [tmp_path / "f0.ppm", tmp_path / "f1.ppm"]
+    save_checkpoint(ckpt, _acceptance_model())
+    for path, frame in zip(paths, np.random.default_rng(8).random((2, 3, 40, 256))):
+        write_ppm(path, frame)
+    frame, pf, pb, v = _whole_frame_infer(load_checkpoint(ckpt), *map(read_ppm, paths))
+    write_ppm(tmp_path / "want.ppm", frame)
+    save_acof(tmp_path / "want.acof", pf, v)
+    save_acof(tmp_path / "want.bwd.acof", pb, v)
+    for threads in ("1", "2"):
+        argv = ["interp", "--ckpt", str(ckpt), "--frame0", str(paths[0]),
+                "--frame1", str(paths[1]), "--threads", threads]
+        assert main(argv + ["--out", str(tmp_path / "only.ppm")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "mid.ppm"),
+                            "--dump-params", str(tmp_path / "got.acof")]) == 0
+        for got, want in (("only.ppm", "want.ppm"), ("mid.ppm", "want.ppm"),
+                          ("got.acof", "want.acof"), ("got.bwd.acof", "want.bwd.acof")):
+            assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes(), got
+
+
+def test_frame_only_inference_holds_one_band_of_maps():
+    """interpolate at 256x256, acceptance config, stays below 80 MiB of traced
+    allocations: the trunk's activations and one 32-row band of head maps.
+    The whole-frame maps and their softmax copies took 105 of 134 MiB."""
+    model = _acceptance_model()
+    first, last = np.random.default_rng(7).random((2, 3, 256, 256))
+    tracemalloc.start()
+    try:
+        train.interpolate(model, first, last)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_checkpoint_roundtrip(tmp_path):

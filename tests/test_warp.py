@@ -364,6 +364,38 @@ def test_mismatched_batch_is_rejected():
         forward_warp(np.zeros((3, 4, 4)), params)
 
 
+def _rows(params, r, stop):
+    """The batched params' maps on rows r..stop."""
+    return WarpParams(*(getattr(params, name)[:, :, r:stop] for name in ("weights", "alpha",
+                                                                          "beta")),
+                      params.kernel_size, params.dilation)
+
+
+@pytest.mark.parametrize("rows", [(0, 5), (5, 17), (17, 24), (0, 24)])
+def test_row_offset_gives_those_rows_of_the_whole_warp(rows):
+    """Maps for rows r..r+n with top=r sample the whole image: the result is
+    those rows of the whole-frame warp, batched and single, on 1 or 2 threads."""
+    images, params = _random_batch(np.random.default_rng(22), 2, 24, 5)
+    r, stop = rows
+    band, whole = _rows(params, r, stop), forward_warp(images, params)
+    for threads in (1, 2):
+        np.testing.assert_array_equal(forward_warp(images, band, threads=threads, top=r),
+                                      whole[:, :, r:stop])
+        np.testing.assert_array_equal(forward_warp(images[1], band.at(1), threads=threads,
+                                                   top=r), whole[1, :, r:stop])
+
+
+def test_row_offset_past_the_image_is_rejected():
+    images, params = _random_batch(np.random.default_rng(23), 1, 8, 3)
+    band = _rows(params, 0, 4)
+    forward_warp(images, band, top=4)
+    for top in (5, -1):
+        with pytest.raises(ValueError, match=f"does not match params maps .* from row {top}"):
+            forward_warp(images, band, top=top)
+    with pytest.raises(ValueError, match="does not match"):  # the VJPs take whole-frame maps
+        backward_warp_vjp(images, band, np.zeros_like(images))
+
+
 def test_occlusion_blend_formula_and_half_map_average():
     rng = np.random.default_rng(13)
     fwd = rng.random((3, 4, 4))
