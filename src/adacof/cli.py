@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gradcheck as gc
 from . import metrics
-from .datagen import MIN_SIZE, load_triplet, read_manifest, write_dataset
+from .datagen import MIN_SIZE, read_manifest, write_dataset
 from .flowstats import mean_flow, render_flow, render_occlusion, variance_flow
 from .model import load_checkpoint, param_shapes
 from .ppm import read_ppm, write_ppm
@@ -48,6 +48,13 @@ def _checked(convert, holds, want):
 
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 _nonnegative_int = _checked(int, lambda n: n >= 0, "an integer >= 0")
+
+
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity mask, else the core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _frame_size(text):
@@ -216,7 +223,10 @@ def cmd_bench(args):
 def cmd_eval(args):
     model = load_checkpoint(args.ckpt)
     names = read_manifest(args.data)
-    rows = evaluate(model, (load_triplet(os.path.join(args.data, n)) for n in names))
+    try:
+        rows = evaluate(model, [os.path.join(args.data, n) for n in names], args.threads)
+    except ChildProcessError as exc:
+        raise ChildProcessError(f"{args.data}: {exc}") from None
     print("name,psnr_db,ssim,ie")
     for name, row in zip(names, rows):
         print(metrics.metrics_row(name, *row))
@@ -226,8 +236,8 @@ def cmd_eval(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="adacof")
-    try:  # ADACOF_THREADS, else the core count
-        threads = _positive_int(os.environ.get("ADACOF_THREADS") or os.cpu_count() or 1)
+    try:  # ADACOF_THREADS, else the cores this process may run on
+        threads = _positive_int(os.environ.get("ADACOF_THREADS") or _usable_cpus())
     except argparse.ArgumentTypeError as exc:
         parser.error(f"ADACOF_THREADS {exc}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -300,6 +310,7 @@ def build_parser():
     p = sub.add_parser("eval", help="PSNR/SSIM/IE report on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
+    p.add_argument("--threads", type=_positive_int, default=threads)
     p.set_defaults(func=cmd_eval)
     return parser
 

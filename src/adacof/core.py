@@ -7,7 +7,8 @@ taps: bilinear_corners maps (y, x) coordinates to the flat indices
 y*W + x of their cell's corners, which sample_grid gathers from the image
 flattened to (C, N) and interpolates; sample_grid_with_grad is its VJP
 side. Every step is elementwise per coordinate. The warp, its VJPs and
-the data generator all sample through these functions.
+the data generator all sample through these functions. process_map runs
+independent tasks in forked worker processes.
 Boundary policy is replicate (coordinates clamped to the frame before
 corner lookup); the subgradient at exactly-integer coordinates uses the
 cell to the right/below (right-continuous convention).
@@ -23,6 +24,47 @@ import numpy as np
 # taps), and the most output pixels per band of conv3x3's forward: small
 # enough that the temporaries are reused from the heap, not freshly mapped
 BAND_PIXELS = 8192
+
+
+# the (fn, items) of process_map, set in each worker as it starts
+_TASK = None
+
+
+def _set_task(fn, items):
+    global _TASK
+    _TASK = fn, items
+
+
+def _run_task(index):
+    fn, items = _TASK
+    return fn(items[index])
+
+
+def process_map(fn, items, workers):
+    """[fn(item) for item in items], in up to `workers` forked processes.
+
+    The workers inherit fn and items through fork: only indices go to them
+    and only results come back, in item order. One worker, or a platform
+    without fork, runs in-process. An exception raised by fn reaches the
+    caller unchanged, the first in item order; a worker that dies raises
+    ChildProcessError. Every worker is joined before this returns.
+    """
+    workers = min(workers, len(items))
+    if workers > 1:  # imported here, so that in-process calls do not load them
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    # a forked worker gets the initializer's arguments from memory, unpickled
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_set_task, initargs=(fn, items))
+    try:
+        return list(pool.map(_run_task, range(len(items)),
+                             chunksize=max(1, len(items) // (4 * workers))))
+    except BrokenProcessPool:
+        raise ChildProcessError("a worker process ended without a result") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def check_finite(arr, what="array"):

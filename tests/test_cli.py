@@ -1,6 +1,7 @@
 """Command-line interface tests (all through main(argv))."""
 
 import json
+import multiprocessing
 import os
 import resource
 import shutil
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from adacof import gradcheck as gc
-from adacof.cli import main
+from adacof import train as train_module
+from adacof.cli import build_parser, main
 from adacof.datagen import read_manifest
 from adacof.model import ModelConfig, SynthModel, save_checkpoint
 from adacof.ppm import read_ppm, write_ppm
@@ -196,6 +198,84 @@ def test_missing_file_is_reported_as_failure(tmp_path):
     assert main(["warp", "--params", str(tmp_path / "nope.acof"),
                  "--input", str(tmp_path / "nope.ppm"),
                  "--out", str(tmp_path / "o.ppm")]) == 1
+
+
+@pytest.fixture(scope="module")
+def forked_set(tmp_path_factory):
+    """6 triplets of 64x64: three WORKER_PIXELS shares, so eval forks."""
+    path = tmp_path_factory.mktemp("cli") / "forked"
+    assert main(["gen-data", "--out", str(path), "--count", "6",
+                 "--size", "64", "--seed", "3"]) == 0
+    return str(path)
+
+
+def test_eval_report_does_not_depend_on_the_worker_count(forked_set, trained, tmp_path,
+                                                        monkeypatch, capsys):
+    score = train_module.score
+
+    def score_noting_the_process(model, triplet):
+        (tmp_path / f"pid{os.getpid()}").touch()
+        return score(model, triplet)
+
+    monkeypatch.setattr(train_module, "score", score_noting_the_process)
+    ckpt = os.path.join(trained, "ckpt_final.ackp")
+    reports = {}
+    for threads, workers in ((1, 1), (2, 2), (8, 3)):  # 8 threads: more than triplets
+        for pid in tmp_path.glob("pid*"):
+            pid.unlink()
+        assert main(["eval", "--ckpt", ckpt, "--data", forked_set,
+                     "--threads", str(threads)]) == 0
+        reports[threads] = capsys.readouterr()
+        assert multiprocessing.active_children() == []
+        pids = {p.name for p in tmp_path.glob("pid*")}
+        assert len(pids) == workers
+        assert (f"pid{os.getpid()}" in pids) == (workers == 1)
+    assert reports[1].err == ""
+    assert len(reports[1].out.splitlines()) == 2 + 6
+    assert reports[2] == reports[1] and reports[8] == reports[1]
+
+
+def test_eval_worker_that_dies_is_an_error(forked_set, trained):
+    """A worker that exits inside a task ends the call with exit 1 and an
+    error line naming the dataset, not a traceback or a hang."""
+    code = (
+        "import multiprocessing, os, sys\n"
+        "from adacof import train\n"
+        "from adacof.cli import main\n"
+        "parent = os.getpid()\n"
+        "train.score = lambda model, t: os._exit(3) if os.getpid() != parent else None\n"
+        f"rc = main(['eval', '--ckpt', {os.path.join(trained, 'ckpt_final.ackp')!r}, "
+        f"'--data', {forked_set!r}, '--threads', '2'])\n"
+        "sys.exit(99 if multiprocessing.active_children() else rc)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == f"error: {forked_set}: a worker process ended without a result\n"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_eval_names_a_corrupt_frame_at_any_worker_count(forked_set, trained, tmp_path,
+                                                        capsys, threads):
+    data = tmp_path / "data"
+    shutil.copytree(forked_set, data)
+    bad = data / "0003" / "frame1.ppm"
+    bad.write_bytes(bad.read_bytes()[:-5])
+    assert main(["eval", "--ckpt", os.path.join(trained, "ckpt_final.ackp"),
+                 "--data", str(data), "--threads", str(threads)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad}: header declares 64x64 pixels (12288 bytes) "
+                            "but only 12283 bytes follow it\n")
+    assert multiprocessing.active_children() == []
+
+
+def test_default_thread_count_is_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("ADACOF_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    parser = build_parser()
+    assert parser.parse_args(["eval", "--ckpt", "c", "--data", "d"]).threads == 1
+    assert parser.parse_args(["bench"]).threads == [1]
 
 
 def test_bad_thread_env_is_a_usage_error(monkeypatch, capsys):
@@ -420,7 +500,8 @@ def test_sweep_param_names_the_bad_key(tmp_path, capsys):
     (["warp", "--params", "p", "--input", "i", "--out", "o", "--threads", "-3"], "-3"),
     (["bench", "--threads", "0"], "0"),
     (["bench", "--threads", "1,-3"], "-3"),
-], ids=["interp", "warp", "bench", "bench-list"])
+    (["eval", "--ckpt", "c", "--data", "d", "--threads", "0"], "0"),
+], ids=["interp", "warp", "bench", "bench-list", "eval"])
 def test_bad_thread_count_is_a_usage_error(capsys, argv, value):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -1,9 +1,12 @@
-"""Bilinear sampler tests."""
+"""Bilinear sampler and process_map tests."""
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from adacof.core import sample_grid, sample_grid_with_grad
+from adacof.core import process_map, sample_grid, sample_grid_with_grad
 
 
 def brute_bilinear(channel, y, x):
@@ -110,3 +113,34 @@ def test_sample_grid_channel_major_batch_matches_per_image():
                                                           upstream[:, b])):
             np.testing.assert_array_equal(got[b], want)
 
+
+
+def _double_with_pid(item):
+    return item * 2, os.getpid()
+
+
+def test_process_map_returns_results_in_item_order_from_workers():
+    results = process_map(_double_with_pid, list(range(11)), 3)
+    assert [value for value, _ in results] == [2 * i for i in range(11)]
+    pids = {pid for _, pid in results}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 3
+    assert multiprocessing.active_children() == []
+
+
+def test_process_map_runs_in_process_with_one_worker_or_without_fork(monkeypatch):
+    assert {pid for _, pid in process_map(_double_with_pid, [1, 2, 3], 1)} == {os.getpid()}
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    results = process_map(_double_with_pid, [1, 2, 3], 2)
+    assert results == [(2, os.getpid()), (4, os.getpid()), (6, os.getpid())]
+
+
+def _fail_at_five_and_seven(item):
+    if item in (5, 7):
+        raise ValueError(f"item {item} is bad")
+    return item
+
+
+def test_process_map_raises_the_first_failure_in_item_order():
+    with pytest.raises(ValueError, match=r"^item 5 is bad$"):
+        process_map(_fail_at_five_and_seven, list(range(12)), 2)
+    assert multiprocessing.active_children() == []

@@ -11,7 +11,7 @@ import pytest
 from adacof.cli import main
 from adacof.datagen import load_triplet, read_manifest, write_dataset
 from adacof.model import ModelConfig, SynthModel, load_checkpoint
-from adacof.train import TrainConfig, evaluate, infer, mean_metrics, train
+from adacof.train import TrainConfig, eval_workers, evaluate, infer, mean_metrics, train
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +156,16 @@ def test_eval_of_a_checkpoint_warps_in_its_mode(tiny_dataset, tmp_path, capsys, 
     if mode == "ws":  # a kb model's offset heads never leave zero: it warps as adacof
         as_adacof = SynthModel(replace(model.config, warp_mode="adacof"), model.params)
         assert not np.allclose(evaluate(as_adacof, triplets), rows, rtol=1e-5)
+
+
+@pytest.mark.parametrize("threads, triplets, size, workers", [
+    (2, 1, 256, 1),    # one triplet
+    (2, 8, 32, 1),     # below two shares of pixels
+    (2, 96, 32, 2),    # eval-32's shape
+    (8, 96, 32, 8),
+    (8, 3, 256, 3),    # no more workers than triplets
+    (1, 96, 32, 1),
+], ids=["one-triplet", "below-the-share", "eval-32", "eval-32-8-threads", "few-large",
+        "one-thread"])
+def test_eval_worker_count(threads, triplets, size, workers):
+    assert eval_workers(threads, triplets, triplets * size * size) == workers
