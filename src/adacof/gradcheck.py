@@ -11,9 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from .datagen import Triplet
 from .losses import (Discriminator, charbonnier_l1, discriminator_loss,
                      generator_entropy_loss, perceptual_loss)
 from .model import ModelConfig, SynthModel, param_shapes, synthesize
+from .train import _batch_losses_and_grads
 from .warp import (WarpParams, _tap_blocks, backward_warp_image_vjp, backward_warp_vjp,
                    forward_warp, occlusion_blend, occlusion_blend_vjp)
 
@@ -99,7 +101,7 @@ def check_adacof(seed=0):
 
 
 def check_network(seed=0):
-    """End-to-end FD check through the model, warp, blend, and loss at 8x8."""
+    """FD check at 8x8 of a one-triplet training step's gradient: model, warp, blend, loss."""
     cfg = ModelConfig(kernel_size=2, dilation=1, depth=1, widths=(6,), seed=seed)
     # search for a well-conditioned instance: every sampling coordinate must
     # sit away from the sampler's integer-grid kinks, or central differences
@@ -111,10 +113,9 @@ def check_network(seed=0):
                                  for name, shape in param_shapes(cfg).items()})
         x = rng.random((1, 6, 8, 8))  # first frame, then last
         gt = rng.random((3, 8, 8))
-        out, net_tape = model.forward(x)
-        frames, params, synth_vjp = synthesize(cfg, out, x)
+        _, (pf, pb, _), _ = synthesize(cfg, model.forward(x)[0], x)
         dist = min(np.abs(coords - np.round(coords)).min()
-                   for p in params for _, *yx in _tap_blocks(p, cfg.kernel_size ** 2)
+                   for p in (pf, pb) for _, *yx in _tap_blocks(p, cfg.kernel_size ** 2)
                    for coords in yx)
         if dist > 2e-3:
             break
@@ -122,14 +123,13 @@ def check_network(seed=0):
         raise ValueError(f"seed {seed}: no kink-free network instance "
                          f"in {KINK_FREE_ATTEMPTS} draws")
 
-    _, g_out = charbonnier_l1(frames[0], gt)
-    grads = model.backward(net_tape, synth_vjp(g_out[None]))
+    _, grads, _ = _batch_losses_and_grads(model, [Triplet(x[0, :3], gt, x[0, 3:])], cfg)
 
     worst = 0.0
     for name in sorted(model.params):
         def f_param(z, name=name):
-            out, _ = SynthModel(cfg, {**model.params, name: z}).forward(x)
-            blended, _, _ = synthesize(cfg, out, x)
+            head, _ = SynthModel(cfg, {**model.params, name: z}).forward(x)
+            blended, _, _ = synthesize(cfg, head, x)
             return charbonnier_l1(blended[0], gt)[0]
 
         numeric = fd_gradient(f_param, model.params[name].copy(), h=1e-5)

@@ -9,8 +9,8 @@ group through a sigmoid, offset groups are left unconstrained. The head is
 zero-initialized so an untrained model emits uniform weights, zero
 offsets, and a 0.5 occlusion map. The network is one nn stage list,
 unet_stages, from which the executor, param_shapes and the init all work.
-activate_head is the one split and activation of the head's output, for
-SynthModel.forward's whole frames and SynthModel.head's row bands alike.
+The head conv's raw output, and its gradient, are all that pass between
+the network and synthesize, which alone splits and activates it.
 
 ModelConfig describes the whole model, its warp mode included; a checkpoint's
 config block is the ModelConfig, so a loaded model warps as it was trained.
@@ -128,37 +128,42 @@ def motion_features(x):
     return np.stack([it, iy, ix, fy, fx], axis=1)
 
 
-def synthesize(config, out, x, threads=1, top=0):
-    """Middle frames of a (B, 6, H, W) batch x from out, SynthModel.forward's outputs.
+def synthesize(config, head, x, threads=1, top=0):
+    """Middle frames of a (B, 6, H, W) batch x from head, the head conv's raw output.
 
-    Projects the maps onto config.warp_mode, warps the first frames forward
-    and the last backward (one batched forward_warp each) and blends with
-    out["occ"], or under 'woocc' with a constant 1/2 map, which gives the occ
-    head no gradient. Returns the (B, 3, H, W) frames, the (forward,
-    backward) WarpParams, and a vjp from frame gradients to the head
-    gradients SynthModel.backward takes. Maps n rows high (SynthModel.head's)
-    give the frames' rows top..top+n, as forward_warp's row offset does.
+    Splits head into the HEAD_NAMES groups with a softmax over each weight
+    group and a sigmoid on occ, projects the maps onto config.warp_mode,
+    warps the first frames forward and the last backward (one batched
+    forward_warp each) and blends with occ, or under 'woocc' with 1/2, which
+    gives occ no gradient. Returns the (B, 3, H, W) frames, (forward WarpParams,
+    backward WarpParams, (B, H, W) occ), and a vjp from frame gradients to
+    head's. A head n rows high (SynthModel.head's) gives the frames' rows top..top+n.
     """
     mode = WarpMode(config.warp_mode)
     occluded = mode is not WarpMode.NO_OCCLUSION
-    (wf, af, bf), vjp_f = project_mode(mode, out["weight_f"], out["alpha_f"], out["beta_f"])
-    (wb, ab, bb), vjp_b = project_mode(mode, out["weight_b"], out["alpha_b"], out["beta_b"])
+    raw = dict(zip(HEAD_NAMES, np.split(head, np.cumsum(config.head_sizes)[:-1], axis=1)))
+    wf, vjp_wf = nn.softmax_channels(raw["weight_f"])
+    wb, vjp_wb = nn.softmax_channels(raw["weight_b"])
+    occ, vjp_occ = nn.sigmoid(raw["occ"][:, 0])
+    (wf, af, bf), project = project_mode(mode, wf, raw["alpha_f"], raw["beta_f"])
+    (wb, ab, bb), _ = project_mode(mode, wb, raw["alpha_b"], raw["beta_b"])
     pf = WarpParams(wf, af, bf, config.kernel_size, config.dilation)
     pb = WarpParams(wb, ab, bb, config.kernel_size, config.dilation)
     fwd = forward_warp(x[:, :3], pf, threads=threads, top=top)
     bwd = forward_warp(x[:, 3:], pb, threads=threads, top=top)
-    v = out["occ"] if occluded else np.full_like(out["occ"], 0.5)
+    v = occ if occluded else np.full_like(occ, 0.5)
     frames = occlusion_blend(fwd, bwd, v)
 
     def vjp(upstream):
         gf, gb, gv = occlusion_blend_vjp(fwd, bwd, v, upstream)
-        grads = (*vjp_f(*backward_warp_vjp(x[:, :3], pf, gf)),
-                 *vjp_b(*backward_warp_vjp(x[:, 3:], pb, gb)),
-                 gv if occluded else np.zeros_like(gv))
-        return dict(zip(("weight_f", "alpha_f", "beta_f", "weight_b", "alpha_b", "beta_b",
-                         "occ"), grads))
+        g_wf, g_af, g_bf = project(*backward_warp_vjp(x[:, :3], pf, gf))
+        g_wb, g_ab, g_bb = project(*backward_warp_vjp(x[:, 3:], pb, gb))
+        g = {"weight_f": vjp_wf(g_wf), "alpha_f": g_af, "beta_f": g_bf,
+             "weight_b": vjp_wb(g_wb), "alpha_b": g_ab, "beta_b": g_bb,
+             "occ": vjp_occ(gv)[:, None] if occluded else np.zeros_like(raw["occ"])}
+        return np.concatenate([g[name] for name in HEAD_NAMES], axis=1)
 
-    return frames, (pf, pb), vjp
+    return frames, (pf, pb, occ), vjp
 
 
 def unet_stages(config):
@@ -176,20 +181,6 @@ def unet_stages(config):
                    *nn.conv_unit(f"dec{i}", f"cat{i}", config.widths[i])]
         h = f"dec{i}"
     return stages + [("head", "conv3x3", (h,), sum(config.head_sizes))]
-
-
-def activate_head(config, head):
-    """The head conv's (B, O, H, W) output split into the HEAD_NAMES groups and
-    constrained: a softmax over each weight group's taps, a sigmoid on occ
-    (returned (B, H, W)), the offsets as they are. Returns (groups by name,
-    the two activations' vjps by name). Every step is per pixel."""
-    groups = dict(zip(HEAD_NAMES, np.split(head, np.cumsum(config.head_sizes)[:-1], axis=1)))
-    vjps = {}
-    for name in ("weight_f", "weight_b"):
-        groups[name], vjps[name] = nn.softmax_channels(groups[name])
-    occ, vjps["occ"] = nn.sigmoid(groups["occ"])
-    groups["occ"] = occ[:, 0]
-    return groups, vjps
 
 
 class SynthModel:
@@ -217,14 +208,13 @@ class SynthModel:
         return {"x": np.concatenate([x, motion_features(x)], axis=1)}
 
     def forward(self, x):
-        """Run the network on (B, IN_CHANNELS, H, W); returns (outputs, tape),
-        outputs mapping each of HEAD_NAMES to its activated group, occ (B, H, W).
+        """Run the network on (B, IN_CHANNELS, H, W); returns (the head conv's
+        raw (B, 6*F*F+1, H, W) output, which synthesize takes, tape).
 
         Height and width must be divisible by 2**depth.
         """
         values, tape = nn.forward(unet_stages(self.config), self.params, self._network_input(x))
-        head_out, acts = activate_head(self.config, values["head"])
-        return head_out, (tape, acts)
+        return values["head"], tape
 
     def trunk(self, x):
         """The features the head reads: every stage but the head, run on the
@@ -234,7 +224,7 @@ class SynthModel:
         return features
 
     def head(self, features, top, n):
-        """activate_head's groups on rows top..top+n of the trunk's features.
+        """Rows top..top+n of forward's raw head output, from the trunk's features.
 
         The head conv runs on those rows and one halo row above and below,
         whose own outputs are cropped off, so each row equals forward's."""
@@ -242,22 +232,13 @@ class SynthModel:
         (src,) = stage[2]
         lo, hi = max(top - 1, 0), min(top + n + 1, features.shape[2])
         values, _ = nn.forward([stage], self.params, {src: features[:, :, lo:hi]})
-        return activate_head(self.config, values["head"][:, :, top - lo:top - lo + n])[0]
+        return values["head"][:, :, top - lo:top - lo + n]
 
-    def backward(self, tape, out_grads):
-        """VJP through the whole network.
-
-        out_grads maps every head name to the upstream gradient on its
-        constrained output (occ gradient shaped (B, H, W)), as
-        synthesize's vjp returns them. Returns a dict of parameter gradients
-        congruent with self.params.
-        """
-        tape, acts = tape
-        g_head = dict(out_grads, occ=out_grads["occ"][:, None])
-        for name, bw_act in acts.items():
-            g_head[name] = bw_act(g_head[name])
-        grads = nn.backward(tape, {"head": np.concatenate([g_head[name] for name in HEAD_NAMES],
-                                                          axis=1)})
+    def backward(self, tape, g_head):
+        """VJP through the whole network from g_head, the gradient on forward's
+        raw head output (synthesize's vjp returns it); returns a dict of
+        parameter gradients congruent with self.params."""
+        grads = nn.backward(tape, {"head": g_head})
         return {name: grads[name] for name in self.params}
 
 

@@ -1,7 +1,8 @@
 """Training loop: batching, the two-phase objective, validation metrics,
 checkpointing, and the inference band loop shared with the CLI: the
-network's trunk on the whole frame, then its head, activations and warps
-one band of rows at a time.
+network's trunk on the whole frame, then its head conv and synthesize one
+band of rows at a time. The head conv's raw output and its gradient are all
+that pass between the network and synthesize, here as in training.
 
 TrainConfig.model_config() is the network a config trains, its warp mode
 included, so inference and evaluation take the mode from the model alone.
@@ -101,7 +102,7 @@ class TrainConfig(ModelConfig):
 def _banded(model, first, last, threads, keep):
     """The inference band loop: the trunk on the whole frame pair, then per band
     of BAND_PIXELS // W rows SynthModel.head and synthesize, which samples the
-    whole pair. keep(frame rows, (fwd, bwd) WarpParams, v rows) picks a band's
+    whole pair. keep(frame rows, (fwd, bwd) WarpParams, occ rows) picks a band's
     arrays, joined into whole-frame arrays band by band; a band of the whole
     frame is returned uncopied. A 'ws' model's shared weights are a mean over
     the frame, so its band is the whole frame.
@@ -113,16 +114,16 @@ def _banded(model, first, last, threads, keep):
     whole = None
     for top in range(0, h, n):
         rows = slice(top, min(top + n, h))
-        out = model.head(features, top, rows.stop - top)
-        frames, params = synthesize(model.config, out, x, threads, top=top)[:2]
-        arrays = keep(frames[0], [p.at(0) for p in params], out["occ"][0])
+        head = model.head(features, top, rows.stop - top)
+        frames, (pf, pb, occ) = synthesize(model.config, head, x, threads, top=top)[:2]
+        arrays = keep(frames[0], [pf.at(0), pb.at(0)], occ[0])
         if rows == slice(0, h):
             return arrays
         if whole is None:
             whole = [np.empty(a.shape[:-2] + (h, w)) for a in arrays]
         for k, dst in enumerate(whole):
             dst[..., rows, :] = arrays[k]
-        del out, frames, params, arrays  # before the next band's maps are made
+        del head, frames, pf, pb, occ, arrays  # before the next band's maps are made
     return whole
 
 
@@ -149,8 +150,8 @@ def _batch_losses_and_grads(model, batch, config, disc=None):
     triplet for the classifier step.
     """
     x = np.stack([np.concatenate([t.first, t.last]) for t in batch])
-    out, net_tape = model.forward(x)
-    frames, _, synth_vjp = synthesize(model.config, out, x)
+    head, net_tape = model.forward(x)
+    frames, _, synth_vjp = synthesize(model.config, head, x)
     g_frames = np.empty_like(frames)
     total = 0.0
     disc_vjps = []
@@ -172,10 +173,9 @@ def _batch_losses_and_grads(model, batch, config, disc=None):
         else:
             loss, g_frames[i] = l1, g_l1
         total += loss
-    head_grads = synth_vjp(g_frames)
-    for g in head_grads.values():
-        g /= len(batch)
-    return total / len(batch), model.backward(net_tape, head_grads), disc_vjps
+    g_head = synth_vjp(g_frames)
+    g_head /= len(batch)
+    return total / len(batch), model.backward(net_tape, g_head), disc_vjps
 
 
 def _discriminator_step(disc, disc_state, disc_vjps):
@@ -195,11 +195,16 @@ def _discriminator_step(disc, disc_state, disc_vjps):
 
 def score(model, triplet):
     """The (psnr, ssim, ie) row of one triplet, a Triplet or a triplet
-    directory, which is then loaded here."""
-    t = load_triplet(triplet) if isinstance(triplet, str) else triplet
-    blended = interpolate(model, t.first, t.last)
-    return (metrics.psnr(blended, t.middle), metrics.ssim(blended, t.middle),
-            metrics.interpolation_error(blended, t.middle))
+    directory, which is then loaded here and named in an error about its frames."""
+    if isinstance(triplet, str):
+        t = load_triplet(triplet)
+        try:
+            return score(model, t)
+        except ValueError as exc:
+            raise ValueError(f"{triplet}: {exc}") from None
+    blended = interpolate(model, triplet.first, triplet.last)
+    return (metrics.psnr(blended, triplet.middle), metrics.ssim(blended, triplet.middle),
+            metrics.interpolation_error(blended, triplet.middle))
 
 
 def eval_workers(threads, triplets, pixels):
@@ -253,11 +258,13 @@ def train(config, out_dir, log=None):
     triplets = [load_triplet(path) for path in paths]
     div = 2 ** config.depth
     size = triplets[0].first.shape[1:]
-    for path, t in zip(paths, triplets):  # validation runs on whole frames: they must divide
+    for path, t in zip(paths, triplets):  # validation scores whole frames: they must divide
         h, w = t.first.shape[1:]
         where = f"{path}: frames are {h}x{w}"
         if config.crop > min(h, w):
             raise ValueError(f"{where}, smaller than crop {config.crop}")
+        if min(h, w) < metrics.SSIM_WINDOW:
+            raise ValueError(f"{where}, smaller than SSIM's {metrics.SSIM_WINDOW}-pixel window")
         if h % div or w % div:
             raise ValueError(f"{where}, not divisible by 2^depth = {div} (depth {config.depth})")
         if not config.crop and (h, w) != size:  # whole frames are stacked into batches

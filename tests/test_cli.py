@@ -270,6 +270,22 @@ def test_eval_names_a_corrupt_frame_at_any_worker_count(forked_set, trained, tmp
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_eval_names_a_triplet_too_small_to_score_at_any_worker_count(forked_set, trained,
+                                                                     tmp_path, capsys, threads):
+    """An 8x8 triplet, below SSIM's 11-pixel window, among five of 64x64."""
+    data = tmp_path / "data"
+    shutil.copytree(forked_set, data)
+    shutil.rmtree(data / "0003")
+    _cropped_copy(forked_set, data, ["0003"], 8)
+    assert main(["eval", "--ckpt", os.path.join(trained, "ckpt_final.ackp"),
+                 "--data", str(data), "--threads", str(threads)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {data / '0003'}: images must be at least 11 pixels per side\n"
+    assert multiprocessing.active_children() == []
+
+
 def test_default_thread_count_is_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.delenv("ADACOF_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -326,13 +342,35 @@ def mixed_dataset(dataset, tmp_path_factory):
     return str(path)
 
 
+def _cropped_copy(src, dst, names, size):
+    """The triplets names of the dataset src, their frames cropped to size x size,
+    as a dataset at dst listing every name of src's manifest."""
+    for name in names:
+        (dst / name).mkdir(parents=True)
+        for i in range(3):
+            frame = read_ppm(os.path.join(src, name, f"frame{i}.ppm"))
+            write_ppm(dst / name / f"frame{i}.ppm", frame[:, :size, :size])
+    (dst / "index.txt").write_text("\n".join(read_manifest(src)) + "\n")
+
+
+@pytest.fixture(scope="module")
+def dataset_8x8(dataset, tmp_path_factory):
+    """The dataset's 8 triplets cropped to 8x8, below SSIM's 11-pixel window."""
+    path = tmp_path_factory.mktemp("cli") / "small"
+    _cropped_copy(dataset, path, read_manifest(dataset), 8)
+    return str(path)
+
+
 @pytest.mark.parametrize("data, change, named, message", [
     ("dataset", {"crop": 64}, 0, "frames are 16x16, smaller than crop 64"),
     ("dataset", {"depth": 5, "widths": [1] * 5}, 0,
      "frames are 16x16, not divisible by 2^depth = 32 (depth 5)"),
     ("mixed_dataset", {}, 4, "frames are 32x32, but {first}'s are 16x16; "
      "with crop 0 every triplet must have one frame size"),
-], ids=["crop-larger-than-frame", "frame-not-divisible", "mixed-sizes-without-crop"])
+    ("dataset_8x8", {"depth": 2, "widths": [4, 4]}, 0,
+     "frames are 8x8, smaller than SSIM's 11-pixel window"),
+], ids=["crop-larger-than-frame", "frame-not-divisible", "mixed-sizes-without-crop",
+        "frame-below-the-ssim-window"])
 def test_train_checks_the_frame_size_before_the_run_directory(request, tmp_path, capsys,
                                                                data, change, named, message):
     dataset = request.getfixturevalue(data)

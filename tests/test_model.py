@@ -31,12 +31,14 @@ def test_output_shapes_and_constraints():
     cfg = _tiny_config()
     model = SynthModel(cfg)
     x = np.random.default_rng(0).random((2, 6, 16, 16))
-    out, _ = model.forward(x)
-    assert out["weight_f"].shape == (2, 9, 16, 16)
-    assert out["occ"].shape == (2, 16, 16)
-    np.testing.assert_allclose(out["weight_f"].sum(axis=1), 1.0, atol=1e-12)
-    assert out["weight_b"].min() > 0.0
-    assert 0.0 < out["occ"].min() and out["occ"].max() < 1.0
+    head, _ = model.forward(x)
+    assert head.shape == (2, 6 * 9 + 1, 16, 16)
+    _, (pf, pb, occ), _ = synthesize(cfg, head, x)
+    assert pf.weights.shape == (2, 9, 16, 16)
+    assert occ.shape == (2, 16, 16)
+    np.testing.assert_allclose(pf.weights.sum(axis=1), 1.0, atol=1e-12)
+    assert pb.weights.min() > 0.0
+    assert 0.0 < occ.min() and occ.max() < 1.0
 
 
 def test_untrained_model_emits_neutral_parameters():
@@ -44,10 +46,10 @@ def test_untrained_model_emits_neutral_parameters():
     cfg = _tiny_config()
     model = SynthModel(cfg)
     x = np.random.default_rng(1).random((1, 6, 16, 16))
-    out, _ = model.forward(x)
-    np.testing.assert_allclose(out["weight_f"], 1.0 / 9.0, atol=1e-12)
-    np.testing.assert_allclose(out["alpha_f"], 0.0, atol=1e-12)
-    np.testing.assert_allclose(out["occ"], 0.5, atol=1e-12)
+    _, (pf, _, occ), _ = synthesize(cfg, model.forward(x)[0], x)
+    np.testing.assert_allclose(pf.weights, 1.0 / 9.0, atol=1e-12)
+    np.testing.assert_allclose(pf.alpha, 0.0, atol=1e-12)
+    np.testing.assert_allclose(occ, 0.5, atol=1e-12)
 
 
 def test_head_is_one_convolution_stacked_in_head_names_order():
@@ -58,13 +60,17 @@ def test_head_is_one_convolution_stacked_in_head_names_order():
     # with a zero head kernel, every output channel is its own bias value
     bias = np.arange(6 * 9 + 1) / 10.0
     model.params["head.b"] = bias
-    out, _ = model.forward(np.random.default_rng(9).random((1, 6, 16, 16)))
+    x = np.random.default_rng(9).random((1, 6, 16, 16))
+    _, (pf, pb, occ), _ = synthesize(cfg, model.forward(x)[0], x)
+    maps = {f"{group}_{d}": getattr(p, attr) for d, p in (("f", pf), ("b", pb))
+            for group, attr in (("weight", "weights"), ("alpha", "alpha"), ("beta", "beta"))}
+    maps["occ"] = occ[:, None]
     for name, group in zip(HEAD_NAMES, np.split(bias, [9, 18, 27, 36, 37, 46])):
         if name == "occ":
             group = 1.0 / (1.0 + np.exp(-group[0]))
         elif name.startswith("weight"):
             group = np.exp(group) / np.exp(group).sum()
-        np.testing.assert_allclose(out[name][0][..., 5, 3], group, rtol=1e-12,
+        np.testing.assert_allclose(maps[name][0][..., 5, 3], group, rtol=1e-12,
                                    err_msg=name)
 
 
@@ -79,8 +85,8 @@ def test_batch_elements_are_independent():
     both, _ = model.forward(np.concatenate([x1, x2]))
     solo1, _ = model.forward(x1)
     solo2, _ = model.forward(x2)
-    np.testing.assert_array_equal(both["alpha_f"][0], solo1["alpha_f"][0])
-    np.testing.assert_array_equal(both["alpha_f"][1], solo2["alpha_f"][0])
+    np.testing.assert_array_equal(both[0], solo1[0])
+    np.testing.assert_array_equal(both[1], solo2[0])
 
 
 def test_input_validation():
@@ -113,7 +119,7 @@ def test_networks_call_the_nn_primitives_through_the_module(monkeypatch, depth):
 def test_sample_params_validate():
     model = SynthModel(_tiny_config())
     x = np.random.default_rng(3).random((1, 6, 16, 16))
-    _, (pf, pb), _ = synthesize(model.config, model.forward(x)[0], x)
+    _, (pf, pb, _), _ = synthesize(model.config, model.forward(x)[0], x)
     pf.validate()
     pb.validate()
     assert pf.weights.shape == (1, 9, 16, 16)
@@ -129,50 +135,60 @@ def _random_model(seed, **kw):
 
 @pytest.mark.parametrize("mode", list(WarpMode), ids=lambda m: m.value)
 def test_synthesize_matches_per_pair_composition(mode):
-    """Frames, warp params and head gradients equal the per-pair
-    project_mode -> forward_warp x2 -> occlusion_blend composition for the
-    config's warp_mode, at its kernel size and dilation ('fb' takes F=1,
-    d=0 though asked for F=3). 'woocc' blends with a constant 1/2 map: the
-    plain average, 1/2 of the upstream on each warp, and no occ gradient."""
+    """Frames, warp params, occ and the head gradient equal the per-pair
+    softmax and sigmoid -> project_mode -> forward_warp x2 -> occlusion_blend
+    composition for the config's warp_mode, at its kernel size and dilation
+    ('fb' takes F=1, d=0 though asked for F=3). 'woocc' blends with a
+    constant 1/2 map: the plain average, 1/2 of the upstream on each warp,
+    and an exactly zero occ gradient."""
     occ_on = mode is not WarpMode.NO_OCCLUSION
     model, x = _random_model(6, warp_mode=mode.value)
     cfg = model.config
     assert (cfg.kernel_size, cfg.dilation) == ((1, 0) if mode is WarpMode.FLOW_ONLY else (3, 1))
-    out, _ = model.forward(x)
-    frames, synth_params, synth_vjp = synthesize(cfg, out, x)
+    head, _ = model.forward(x)
+    frames, (pf, pb, occ), synth_vjp = synthesize(cfg, head, x)
     upstream = np.random.default_rng(8).normal(size=frames.shape)
-    head_grads = synth_vjp(upstream)
-    assert frames.shape == (3, 3, 16, 16)
+    g_head = synth_vjp(upstream)
+    assert frames.shape == (3, 3, 16, 16) and g_head.shape == head.shape
+    cuts = np.cumsum(cfg.head_sizes)[:-1]
+    raw = dict(zip(HEAD_NAMES, np.split(head, cuts, axis=1)))
+    got_grads = dict(zip(HEAD_NAMES, np.split(g_head, cuts, axis=1)))
     directions = (("weight_f", "alpha_f", "beta_f"), ("weight_b", "alpha_b", "beta_b"))
     for i in range(3):
         images = (x[i, :3], x[i, 3:])
-        params, vjps = [], []
-        for names, got_p in zip(directions, (p.at(i) for p in synth_params)):
-            (w, a, b), vjp = project_mode(mode, *(out[n][i] for n in names))
+        params, vjps, softmax_vjps = [], [], []
+        for names, got_p in zip(directions, (p.at(i) for p in (pf, pb))):
+            w, softmax_vjp = nn.softmax_channels(raw[names[0]][i:i + 1])
+            (w, a, b), vjp = project_mode(mode, w[0], *(raw[n][i] for n in names[1:]))
             assert all(np.array_equal(got, want) for got, want in
                        ((got_p.weights, w), (got_p.alpha, a), (got_p.beta, b)))
             params.append(WarpParams(w, a, b, cfg.kernel_size, cfg.dilation))
             vjps.append(vjp)
+            softmax_vjps.append(softmax_vjp)
+        sig, sigmoid_vjp = nn.sigmoid(raw["occ"][i])
+        assert np.array_equal(occ[i], sig[0])
         warped = [forward_warp(img, p) for img, p in zip(images, params)]
-        v = out["occ"][i] if occ_on else np.full_like(out["occ"][i], 0.5)
+        v = sig[0] if occ_on else np.full_like(sig[0], 0.5)
         assert np.array_equal(frames[i], occlusion_blend(*warped, v))
         *g_warped, g_occ = occlusion_blend_vjp(*warped, v, upstream[i])
         if not occ_on:
             assert np.array_equal(frames[i], 0.5 * (warped[0] + warped[1]))
             assert all(np.array_equal(g, 0.5 * upstream[i]) for g in g_warped)
-            g_occ = np.zeros_like(g_occ)
-        want = []
-        for img, p, g, vjp in zip(images, params, g_warped, vjps):
-            want.extend(vjp(*backward_warp_vjp(img, p, g)))
-        for head, g in zip((*directions[0], *directions[1], "occ"), want + [g_occ]):
-            assert np.array_equal(head_grads[head][i], g), head
+        want = {"occ": sigmoid_vjp(g_occ[None]) if occ_on else np.zeros((1, 16, 16))}
+        for names, img, p, g, vjp, softmax_vjp in zip(directions, images, params, g_warped,
+                                                      vjps, softmax_vjps):
+            g_w, g_a, g_b = vjp(*backward_warp_vjp(img, p, g))
+            want.update(zip(names, (softmax_vjp(g_w[None])[0], g_a, g_b)))
+        for name in HEAD_NAMES:
+            assert np.array_equal(got_grads[name][i], want[name]), name
+    assert occ_on or not got_grads["occ"].any()
 
 
 def test_synthesize_threads_are_bit_identical():
     model, x = _random_model(7)
-    out, _ = model.forward(x)
-    serial, _, _ = synthesize(model.config, out, x, threads=1)
-    threaded, _, _ = synthesize(model.config, out, x, threads=2)
+    head, _ = model.forward(x)
+    serial, _, _ = synthesize(model.config, head, x, threads=1)
+    threaded, _, _ = synthesize(model.config, head, x, threads=2)
     assert np.array_equal(serial, threaded)
 
 
@@ -180,7 +196,7 @@ def test_synthesize_threads_are_bit_identical():
 def test_network_vjp_matches_directional_differences(depth):
     """<grad, v> against a central difference along a random direction v,
     for every tensor, at depths whose backward pass pairs skip gradients
-    across levels. The loss sum <U, head output> has no warp, so no
+    across levels. The loss sum <U, raw head output> has no warp, so no
     sampler kinks."""
     cfg = _tiny_config(depth=depth, widths=(4, 6, 8)[:depth])
     model = SynthModel(cfg)
@@ -188,12 +204,11 @@ def test_network_vjp_matches_directional_differences(depth):
     for name in model.params:
         model.params[name] = rng.normal(0, 0.3, size=model.params[name].shape)
     x = rng.random((1, 6, 8, 8))
-    out, tape = model.forward(x)
-    upstream = {name: rng.normal(size=out[name].shape) for name in HEAD_NAMES}
+    head, tape = model.forward(x)
+    upstream = rng.normal(size=head.shape)
 
     def loss(params):
-        o, _ = SynthModel(cfg, params).forward(x)
-        return sum(float((o[name] * upstream[name]).sum()) for name in HEAD_NAMES)
+        return float((SynthModel(cfg, params).forward(x)[0] * upstream).sum())
 
     grads = model.backward(tape, upstream)
     h = 1e-5
@@ -276,9 +291,8 @@ def _acceptance_model(warp_mode="adacof", seed=4):
 def _whole_frame_infer(model, first, last):
     """infer composed from the whole network: forward, then synthesize."""
     x = np.concatenate([first, last])[None]
-    out = model.forward(x)[0]
-    frames, (pf, pb), _ = synthesize(model.config, out, x)
-    return frames[0], pf.at(0), pb.at(0), out["occ"][0]
+    frames, (pf, pb, occ), _ = synthesize(model.config, model.forward(x)[0], x)
+    return frames[0], pf.at(0), pb.at(0), occ[0]
 
 
 @pytest.mark.parametrize("mode, h, w, bands", [
@@ -296,9 +310,9 @@ def test_banded_inference_equals_the_whole_frame_network(monkeypatch, mode, h, w
     first, last = np.random.default_rng(6).random((2, 3, h, w))
     seen = []
 
-    def recording(config, out, x, threads=1, top=0):
-        seen.append(out["occ"].shape[1])
-        return synthesize(config, out, x, threads, top=top)
+    def recording(config, head, x, threads=1, top=0):
+        seen.append(head.shape[2])
+        return synthesize(config, head, x, threads, top=top)
 
     monkeypatch.setattr(train, "synthesize", recording)
     got = train.infer(model, first, last)

@@ -11,7 +11,8 @@ import pytest
 from adacof.cli import main
 from adacof.datagen import load_triplet, read_manifest, write_dataset
 from adacof.model import ModelConfig, SynthModel, load_checkpoint
-from adacof.train import TrainConfig, eval_workers, evaluate, infer, mean_metrics, train
+from adacof.train import (TrainConfig, _batch_losses_and_grads, eval_workers, evaluate, infer,
+                          mean_metrics, train)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,29 @@ def test_evaluate_reports_sane_metrics(tiny_dataset, tmp_path):
     assert 10.0 < p <= 100.0
     assert 0.0 < s <= 1.0
     assert ie > 0.0
+
+
+def test_batch_loss_and_gradients_are_the_means_of_its_triplets(tiny_dataset):
+    """Equal to rounding: the batch's conv gradients sum in another order.
+    The network gradient check runs a batch of one, so it cannot see the mean."""
+    cfg = _tiny_config(tiny_dataset)
+    model = SynthModel(cfg.model_config())
+    rng = np.random.default_rng(0)
+    for name in model.params:
+        model.params[name] = rng.normal(0, 0.3, size=model.params[name].shape)
+    batch = [load_triplet(os.path.join(tiny_dataset, n)) for n in read_manifest(tiny_dataset)[:2]]
+    loss, grads, _ = _batch_losses_and_grads(model, batch, cfg)
+    (l0, g0, _), (l1, g1, _) = (_batch_losses_and_grads(model, [t], cfg) for t in batch)
+    assert loss == pytest.approx((l0 + l1) / 2, rel=1e-12)
+    for name, g in grads.items():
+        want = (g0[name] + g1[name]) / 2
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-12 * abs(want).max(), err_msg=name)
+
+
+def test_mean_metrics_caps_each_psnr_at_100_db():
+    """An exact copy (inf dB) and a 100.5 dB row each count as 100 dB."""
+    rows = [(float("inf"), 1.0, 0.0), (100.5, 0.5, 1.0), (40.0, 0.0, 2.0)]
+    assert mean_metrics(rows) == (80.0, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("mode", ["kb", "ws"])
