@@ -1,10 +1,11 @@
 """Synthetic frame-triplet generation with known motion and occlusion truth.
 
-Triplets are rendered by bilinearly sampling a smooth base texture at
-shifted/rotated coordinates, using the same sampler convention as the warp
-operator, so the middle frame is the exact half-displacement render. The
-occluder kind moves a textured square over a static background and emits
-the exact covered/uncovered mask.
+One motion model renders every kind. Frame t in {0, 1/2, 1} bilinearly samples
+a smooth base texture turned by t·angle about the centre and shifted by t·shift
+(the warp operator's sampler convention); the truth flow is that displacement
+at t = 1/2. Only a rotation turns. An occluder's background holds still while a
+textured square moves over it by t·displacement (flow displacement/2 on it),
+and the covered/uncovered mask is exact.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ MIN_SIZE = 16  # the smallest frame side generate_triplet renders
 class MotionSpec:
     kind: str = "global_translation"
     displacement: tuple = (0.0, 0.0)  # (dy, dx) pixels per full step
-    angle_deg: float = 0.0            # rotation kinds only, per full step
+    angle_deg: float = 0.0            # read by rotation only, per full step
     occluder_size: int = 10
     occluder_pos: Optional[tuple] = None  # top-left at t=0; default centered
     texture_seed: int = 0
@@ -60,17 +61,22 @@ def smooth_texture(rng, channels, h, w):
     return 0.05 + 0.9 * (tex - lo) / np.maximum(hi - lo, 1e-12)
 
 
+def _radius(size):
+    """The farthest a pixel lies from the frame's centre: the lever arm of a turn."""
+    return math.hypot(size / 2.0, size / 2.0)
+
+
 def _max_displacement(spec, size):
+    """A bound on how far any sampling coordinate moves over the full step:
+    the shift's larger axis plus, for a rotation, the farthest pixel's arc."""
     dy, dx = spec.displacement
-    disp = max(abs(dy), abs(dx))
-    if spec.kind == "rotation":
-        radius = math.hypot(size / 2.0, size / 2.0)
-        disp = max(disp, radius * abs(math.radians(spec.angle_deg)))
-    return disp
+    turn = _radius(size) * abs(math.radians(spec.angle_deg)) if spec.kind == "rotation" else 0.0
+    return max(abs(dy), abs(dx)) + turn
 
 
 def generate_triplet(spec, size, seed, max_disp=3.0):
-    """Render (first, middle, last) at t = 0, 1/2, 1 with ground truth."""
+    """Render (first, middle, last) at t = 0, 1/2, 1 with ground truth, in one
+    loop over t for every kind (see the module docstring)."""
     if size < MIN_SIZE:
         raise ValueError(f"size must be >= {MIN_SIZE}")
     if _max_displacement(spec, size) > max_disp:
@@ -78,77 +84,42 @@ def generate_triplet(spec, size, seed, max_disp=3.0):
     rng = np.random.default_rng((seed, spec.texture_seed))
     margin = int(math.ceil(max_disp)) + 2
     base = smooth_texture(rng, 3, size + 2 * margin, size + 2 * margin)
-    grid_y, grid_x = np.meshgrid(np.arange(size, dtype=np.float64),
-                                 np.arange(size, dtype=np.float64), indexing="ij")
-
-    if spec.kind == "occluder":
-        return _render_occluder(spec, size, margin, base, rng, grid_y, grid_x)
-
+    grid_y, grid_x = np.indices((size, size), dtype=np.float64)
+    centre = (size - 1) / 2.0
+    ry, rx = grid_y - centre, grid_x - centre
     dy, dx = spec.displacement
-    frames = []
+    occluder = spec.kind == "occluder"
+    angle = math.radians(spec.angle_deg) if spec.kind == "rotation" else 0.0
+    sy, sx = (0.0, 0.0) if occluder else (dy, dx)
+    if occluder:
+        s = spec.occluder_size
+        oy0, ox0 = spec.occluder_pos or ((size - s) / 2.0 - max(abs(dy), abs(dx)),) * 2
+        patch = smooth_texture(rng, 3, s + 4, s + 4)
+
+    frames, covers = [], []
     for t in (0.0, 0.5, 1.0):
-        if spec.kind == "global_translation":
-            ys = grid_y + t * dy
-            xs = grid_x + t * dx
-        else:  # rotation about the frame center
-            theta = t * math.radians(spec.angle_deg)
-            cy = cx = (size - 1) / 2.0
-            ry, rx = grid_y - cy, grid_x - cx
-            ys = cy + math.cos(theta) * ry - math.sin(theta) * rx + t * dy
-            xs = cx + math.sin(theta) * ry + math.cos(theta) * rx + t * dx
-        frames.append(sample_grid(base, ys + margin, xs + margin))
-
-    if spec.kind == "global_translation":
-        flow = np.stack([np.full((size, size), dy / 2.0),
-                         np.full((size, size), dx / 2.0)])
-    else:
-        theta = 0.5 * math.radians(spec.angle_deg)
-        cy = cx = (size - 1) / 2.0
-        ry, rx = grid_y - cy, grid_x - cx
-        flow = np.stack([
-            math.cos(theta) * ry - math.sin(theta) * rx - ry + 0.5 * dy,
-            math.sin(theta) * ry + math.cos(theta) * rx - rx + 0.5 * dx,
-        ])
-    occ = np.full((size, size), 0.5)
-    return Triplet(frames[0], frames[1], frames[2], flow, occ)
-
-
-def _render_occluder(spec, size, margin, base, rng, grid_y, grid_x):
-    """Static background with a textured square moving over it."""
-    dy, dx = spec.displacement
-    s = spec.occluder_size
-    if spec.occluder_pos is None:
-        oy0 = ox0 = (size - s) / 2.0 - max(abs(dy), abs(dx))
-    else:
-        oy0, ox0 = spec.occluder_pos
-    patch = smooth_texture(rng, 3, s + 4, s + 4)
-
-    def cover(t):
-        oy, ox = oy0 + t * dy, ox0 + t * dx
-        return ((grid_y >= oy) & (grid_y < oy + s)
-                & (grid_x >= ox) & (grid_x < ox + s))
-
-    frames = []
-    for t in (0.0, 0.5, 1.0):
-        oy, ox = oy0 + t * dy, ox0 + t * dx
-        img = sample_grid(base, grid_y + margin, grid_x + margin)
-        mask = cover(t)
-        patch_vals = sample_grid(patch, grid_y - oy + 2.0, grid_x - ox + 2.0)
-        img = np.where(mask[None], patch_vals, img)
+        cos, sin = math.cos(t * angle), math.sin(t * angle)
+        img = sample_grid(base, centre + cos * ry - sin * rx + t * sy + margin,
+                          centre + sin * ry + cos * rx + t * sx + margin)
+        if occluder:  # the square, its top-left at t, drawn over the background
+            oy, ox = oy0 + t * dy, ox0 + t * dx
+            covers.append((grid_y >= oy) & (grid_y < oy + s) & (grid_x >= ox) & (grid_x < ox + s))
+            square = sample_grid(patch, grid_y - oy + 2.0, grid_x - ox + 2.0)
+            img = np.where(covers[-1][None], square, img)
+        if t == 0.5:  # the truth: the displacement that drew this frame
+            flow = np.stack([cos * ry - sin * rx - ry + t * sy, sin * ry + cos * rx - rx + t * sx])
+            if occluder:
+                flow[:, covers[-1]] = [[t * dy], [t * dx]]
         frames.append(img)
 
-    mask_half = cover(0.5)
-    flow = np.where(mask_half[None],
-                    np.stack([np.full_like(grid_y, dy / 2.0),
-                              np.full_like(grid_x, dx / 2.0)]),
-                    0.0)
-    # V = 1: background visible only in the first frame (covered at t=1),
-    # V = 0: visible only in the last; everything else is unoccluded.
-    c0, c1 = cover(0.0), cover(1.0)
     occ = np.full((size, size), 0.5)
-    occ[~mask_half & c1 & ~c0] = 1.0
-    occ[~mask_half & c0 & ~c1] = 0.0
-    return Triplet(frames[0], frames[1], frames[2], flow, occ)
+    if occluder:
+        # V = 1: background visible only in the first frame (covered at t=1),
+        # V = 0: visible only in the last; everything else is unoccluded.
+        c0, half, c1 = covers
+        occ[~half & c1 & ~c0] = 1.0
+        occ[~half & c0 & ~c1] = 0.0
+    return Triplet(*frames, flow, occ)
 
 
 def augment(triplet, seed, crop=None):
@@ -188,8 +159,7 @@ def random_spec(rng, max_disp, size):
     disp = (mag * math.sin(ang), mag * math.cos(ang))
     seed = int(rng.integers(0, 2 ** 31))
     if kind == "rotation":
-        radius = math.hypot(size / 2.0, size / 2.0)
-        max_angle = math.degrees(max_disp / radius)
+        max_angle = math.degrees(max_disp / _radius(size))
         angle = rng.uniform(0.5 * max_angle, max_angle) * rng.choice((-1.0, 1.0))
         return MotionSpec(kind=kind, displacement=(0.0, 0.0),
                           angle_deg=float(angle), texture_seed=seed)
@@ -211,6 +181,10 @@ def save_triplet(dirpath, triplet):
 
 def load_triplet(dirpath):
     frames = [read_ppm(os.path.join(dirpath, f"frame{i}.ppm")) for i in range(3)]
+    sizes = [f"{h}x{w}" for h, w in (f.shape[1:] for f in frames)]
+    if len(set(sizes)) > 1:
+        raise ValueError(f"{dirpath}: frames are {', '.join(sizes)}; "
+                         "a triplet's three frames must have one size")
     flow = occ = None
     truth_path = os.path.join(dirpath, "truth.acof")
     if os.path.exists(truth_path):

@@ -139,11 +139,12 @@ def forward_warp(image, params, threads=1, validate=True, top=0):
     """Warp a (C, H, W) image by (F*F, H, W) maps, or a
     (B, C, H, W) batch by (B, F*F, H, W) maps, bit-identical per sample.
 
-    Output pixels are convex sums of bilinear samples over row bands (one
-    per thread or more). Each band samples a block of taps per call, at
-    most BAND_PIXELS samples, then adds the taps in tap order; every
-    operation is elementwise per pixel, so any thread count or block size
-    gives the same bits. validate=False skips the weight-simplex check
+    Output pixels are convex sums of bilinear samples over row slices of up
+    to BAND_PIXELS pixels (one row at least), whatever the thread count;
+    threads only spread the slices. Each slice samples a block of taps per
+    call, at most BAND_PIXELS samples, then adds the taps in tap order;
+    every operation is elementwise per pixel, so any thread count or block
+    size gives the same bits. validate=False skips the weight-simplex check
     (finite-difference probing evaluates slightly off the simplex).
 
     Maps n rows high give the output rows top..top+n of the whole warp:
@@ -164,7 +165,7 @@ def forward_warp(image, params, threads=1, validate=True, top=0):
                 out += block[:, :, k]
         return out
 
-    rows_per = max(1, min(BAND_PIXELS // (b * w), -(-h // max(threads, 1))))
+    rows_per = max(1, min(BAND_PIXELS // (b * w), h))
     per_block = max(1, BAND_PIXELS // (b * rows_per * w))
     slices = [slice(r, r + rows_per) for r in range(0, h, rows_per)]
     if threads > 1 and len(slices) > 1:

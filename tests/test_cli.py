@@ -286,6 +286,21 @@ def test_eval_names_a_triplet_too_small_to_score_at_any_worker_count(forked_set,
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_eval_names_a_triplet_whose_frames_differ_in_size_at_any_worker_count(
+        forked_set, trained, tmp_path, capsys, threads):
+    data = tmp_path / "data"
+    shutil.copytree(forked_set, data)
+    _cut_middle_frame(data / "0003", 60)
+    assert main(["eval", "--ckpt", os.path.join(trained, "ckpt_final.ackp"),
+                 "--data", str(data), "--threads", str(threads)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {data / '0003'}: frames are 64x64, 60x64, 64x64; "
+                            "a triplet's three frames must have one size\n")
+    assert multiprocessing.active_children() == []
+
+
 def test_default_thread_count_is_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.delenv("ADACOF_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -361,6 +376,20 @@ def dataset_8x8(dataset, tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def dataset_short_middle(dataset, tmp_path_factory):
+    """The dataset with the middle frame of its second triplet cut to 12x16."""
+    path = tmp_path_factory.mktemp("cli") / "short_middle"
+    shutil.copytree(dataset, path)
+    _cut_middle_frame(path / read_manifest(dataset)[1], 12)
+    return str(path)
+
+
+def _cut_middle_frame(triplet_dir, rows):
+    frame = triplet_dir / "frame1.ppm"
+    write_ppm(frame, read_ppm(frame)[:, :rows])
+
+
 @pytest.mark.parametrize("data, change, named, message", [
     ("dataset", {"crop": 64}, 0, "frames are 16x16, smaller than crop 64"),
     ("dataset", {"depth": 5, "widths": [1] * 5}, 0,
@@ -369,8 +398,10 @@ def dataset_8x8(dataset, tmp_path_factory):
      "with crop 0 every triplet must have one frame size"),
     ("dataset_8x8", {"depth": 2, "widths": [4, 4]}, 0,
      "frames are 8x8, smaller than SSIM's 11-pixel window"),
+    ("dataset_short_middle", {}, 1,
+     "frames are 16x16, 12x16, 16x16; a triplet's three frames must have one size"),
 ], ids=["crop-larger-than-frame", "frame-not-divisible", "mixed-sizes-without-crop",
-        "frame-below-the-ssim-window"])
+        "frame-below-the-ssim-window", "middle-frame-of-another-size"])
 def test_train_checks_the_frame_size_before_the_run_directory(request, tmp_path, capsys,
                                                                data, change, named, message):
     dataset = request.getfixturevalue(data)

@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from adacof import nn, train
+from adacof import nn, train, warp
 from adacof.cli import main
 from adacof.losses import Discriminator
 from adacof.model import (HEAD_NAMES, ModelConfig, SynthModel, _box5, load_checkpoint,
@@ -362,6 +363,19 @@ def test_frame_only_inference_holds_one_band_of_maps():
     finally:
         tracemalloc.stop()
     assert peak < 80 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_interpolate_on_two_threads_starts_no_pool(monkeypatch):
+    """Each 32-row band of a 256x256 frame is one warp slice: threads=2 starts
+    no thread pool and gives threads=1's frame."""
+    pools = []
+    monkeypatch.setattr(warp, "ThreadPoolExecutor",
+                        lambda **kw: pools.append(kw) or ThreadPoolExecutor(**kw))
+    model = _acceptance_model()
+    first, last = np.random.default_rng(9).random((2, 3, 256, 256))
+    threaded = train.interpolate(model, first, last, threads=2)
+    assert pools == []
+    np.testing.assert_array_equal(threaded, train.interpolate(model, first, last))
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -2,6 +2,7 @@
 occlusion blending, and the binary parameter dump."""
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -313,9 +314,12 @@ def test_batched_image_vjp_matches_finite_differences():
     assert block_rel_err(backward_warp_image_vjp(params, upstream), numeric) < 1e-4
 
 
-# at B=3, F=5 and 6x5 frames: one tap per block; 7 (or 21 unbatched, 14 on
-# two threads' 3-row bands) then a partial tail; all 25 taps in one block
-@pytest.mark.parametrize("band_pixels", [1, 630, 10**6], ids=["one-tap", "tail", "all-taps"])
+# at B=3, F=5 and 6x5 frames: one-row slices, one tap per block; slices of 4
+# and 2 rows (one 6-row slice unbatched, in blocks of 2 taps then 1), one tap
+# per block; 7 taps a block (21 unbatched) then a partial tail; all 25 taps in
+# one block. Only the first two spread their slices over two threads.
+@pytest.mark.parametrize("band_pixels", [1, 60, 630, 10**6],
+                         ids=["one-tap", "uneven-slices", "tail", "all-taps"])
 def test_tap_blocks_equal_the_per_tap_formula(monkeypatch, band_pixels):
     monkeypatch.setattr(warp, "BAND_PIXELS", band_pixels)
     rng = np.random.default_rng(20)
@@ -353,6 +357,24 @@ def test_forward_warp_samples_eight_taps_per_call_at_32x32(monkeypatch):
     image, weights, alpha, beta = random_instance(np.random.default_rng(21), 32, 5, 1)
     forward_warp(image, WarpParams(weights, alpha, beta, 5, 1))
     assert calls == [(1, 8, 32, 32)] * 3 + [(1, 1, 32, 32)]
+
+
+def test_only_a_call_of_several_slices_starts_a_pool(monkeypatch):
+    """A whole 256x256 frame is eight 32-row slices, spread over one pool of
+    two threads and bit-identical to one thread; a 32-row band of it is one
+    slice, warped on the calling thread."""
+    pools = []
+    monkeypatch.setattr(warp, "ThreadPoolExecutor",
+                        lambda **kw: pools.append(kw) or ThreadPoolExecutor(**kw))
+    image, weights, alpha, beta = random_instance(np.random.default_rng(24), 256, 5, 1)
+    params = WarpParams(weights, alpha, beta, 5, 1)
+    whole = forward_warp(image, params, threads=2)
+    assert pools == [{"max_workers": 2}]
+    np.testing.assert_array_equal(whole, forward_warp(image, params, threads=1))
+    band = WarpParams(weights[:, 64:96], alpha[:, 64:96], beta[:, 64:96], 5, 1)
+    np.testing.assert_array_equal(forward_warp(image, band, threads=2, top=64),
+                                  whole[:, 64:96])
+    assert len(pools) == 1
 
 
 def test_mismatched_batch_is_rejected():
